@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -104,6 +105,15 @@ def load_csv(
                 f"{path}: missing required column(s) {', '.join(map(repr, missing))};"
                 f" found {reader.fieldnames}"
             )
+        repeated = sorted(
+            {c for c in (group_col, component_col, score_col, sample_col)
+             if reader.fieldnames.count(c) > 1}
+        )
+        if repeated:
+            raise ConfigError(
+                f"{path}: column(s) {', '.join(map(repr, repeated))} appear more than once"
+                f" in the header; found {reader.fieldnames}"
+            )
         has_sample = sample_col in reader.fieldnames
         for row in reader:
             rows += 1
@@ -148,11 +158,24 @@ def _parse_row(row, line, group_col, component_col, score_col, sample_col) -> Sc
 def load_json(path) -> Dataset:
     """Parse a JSON score file into a Dataset (see module docstring for the schema)."""
     path = Path(path)
+    repeated: dict[int, tuple[dict, str]] = {}
+
+    def keep_repeats(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+            # the object is kept alive with its key, so its id stays unique
+            repeated[id(obj)] = (obj, key)
+        return obj
+
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=keep_repeats)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    if repeated:
+        where, key = _first_repeat(doc, "", repeated)
+        raise ParseError(f"{path}: {where or '$'}: duplicate key {key!r}")
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: $: expected a top-level object")
     if "components" not in doc:
@@ -183,6 +206,23 @@ def load_json(path) -> Dataset:
             count += len(parsed)
     components = _canonical_components(buckets, str(path))
     return Dataset(components, Provenance(str(path), count))
+
+
+def _first_repeat(node, where: str, repeated: dict):
+    """(JSON path, key) of the first object, in document order, listed in ``repeated``."""
+    if isinstance(node, dict):
+        if id(node) in repeated:
+            return where, repeated[id(node)][1]
+        children = ((f"{where}.{k}" if where else k, v) for k, v in node.items())
+    elif isinstance(node, list):
+        children = ((f"{where}[{i}]", v) for i, v in enumerate(node))
+    else:
+        return None
+    for child_where, child in children:
+        found = _first_repeat(child, child_where, repeated)
+        if found is not None:
+            return found
+    return None
 
 
 def _canonical_components(buckets, source: str) -> dict[str, GroupedScores]:

@@ -1,31 +1,20 @@
-"""Backend selection for the per-sample kernels.
+"""The per-sample kernels: the loops whose cost scales with the number of
+samples rather than the number of groups.
 
-The compiled extension (sqfr._ckernels, built from Cython) is used when it
-imports cleanly; otherwise the numpy fallback (sqfr._pykernels) takes over.
-Set the environment variable SQFR_PURE_PYTHON=1 before import to force the
-fallback. Both backends compute the same quantities; only floating-point
-summation order differs, so results agree to ~1e-12 relative.
+One numpy implementation. ``BACKEND`` names it for tools that record the
+kernel path alongside their measurements.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-if os.environ.get("SQFR_PURE_PYTHON"):
-    from . import _pykernels as _impl
+BACKEND = "python"
 
-    BACKEND = "python"
-else:
-    try:
-        from . import _ckernels as _impl  # type: ignore[no-redef]
+_SQRT_TWO_PI = np.sqrt(2.0 * np.pi)
 
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _pykernels as _impl  # type: ignore[no-redef]
-
-        BACKEND = "python"
+#: Elements of the (grid block x distinct samples) temporary in kde_gaussian.
+_KDE_BLOCK_ELEMENTS = 8_000_000
 
 
 def _c1d(a) -> np.ndarray:
@@ -39,14 +28,44 @@ def count_below(sorted_scores, thresholds) -> np.ndarray:
     place the discard predicate lives: a threshold equal to the smallest
     score discards nothing.
     """
-    return _impl.count_below(_c1d(sorted_scores), _c1d(thresholds))
+    return np.searchsorted(_c1d(sorted_scores), _c1d(thresholds), side="left").astype(np.int64)
 
 
 def low_weight_sums(scores, lo: float, hi: float) -> tuple[float, float]:
-    """(sum of weights, sum of weight*score) for w(q) = (hi - q)/(hi - lo)."""
-    return _impl.low_weight_sums(_c1d(scores), float(lo), float(hi))
+    """(sum of weights, sum of weight*score) for w(q) = (hi - q)/(hi - lo).
+
+    Requires lo < hi, with ``hi`` the largest score. The weight falls
+    linearly from 1 at ``lo`` to 0 at ``hi``. The weights are normalized
+    before the product sum, so neither ``(hi - q) * q`` overflowing (scores
+    above ~1e154) nor underflowing (below ~1e-154) can distort the sums.
+    The weighted sum is inf only where its exact value exceeds the float
+    range.
+    """
+    x = _c1d(scores)
+    w = float(hi) - x
+    w /= float(hi) - float(lo)
+    wsum = float(w.sum())
+    w *= x
+    with np.errstate(over="ignore"):
+        return wsum, float(w.sum())
 
 
 def kde_gaussian(samples, grid, bandwidth: float) -> np.ndarray:
-    """Gaussian KDE of ``samples`` evaluated at ``grid`` points."""
-    return _impl.kde_gaussian(_c1d(samples), _c1d(grid), float(bandwidth))
+    """Gaussian kernel density estimate of ``samples`` evaluated on ``grid``.
+
+    The kernel is evaluated once per distinct sample value and weighted by
+    that value's count, so repeated scores (integer scales) cost as much
+    as one. The grid is processed in blocks to bound the (block x distinct
+    values) temporary.
+    """
+    x = _c1d(samples)
+    grid = _c1d(grid)
+    h = float(bandwidth)
+    values, counts = np.unique(x, return_counts=True)
+    out = np.empty(grid.size, dtype=np.float64)
+    norm = 1.0 / (x.size * h * _SQRT_TWO_PI)
+    block = max(1, _KDE_BLOCK_ELEMENTS // max(values.size, 1))
+    for start in range(0, grid.size, block):
+        u = (grid[start : start + block, None] - values[None, :]) / h
+        out[start : start + block] = (np.exp(-0.5 * u * u) * counts).sum(axis=1) * norm
+    return out

@@ -43,15 +43,30 @@ MAX_THRESHOLDS = 10_000_000
 def mean_aggregate(scores: GroupedScores) -> GroupAggregates:
     """Arithmetic mean of each group's scores."""
     scores.require_valid()
-    values = {label: float(g.mean()) for label, g in scores.groups.items()}
+    values = {label: _scale_free(np.mean, g) for label, g in scores.groups.items()}
     return GroupAggregates("mean", values)
 
 
 def median_aggregate(scores: GroupedScores) -> GroupAggregates:
     """Median of each group's scores (even counts: mean of the middle two)."""
     scores.require_valid()
-    values = {label: float(np.median(g)) for label, g in scores.groups.items()}
+    values = {label: _scale_free(np.median, g) for label, g in scores.groups.items()}
     return GroupAggregates("median", values)
+
+
+def _scale_free(stat, g: np.ndarray) -> float:
+    """``stat(g)`` for a statistic that scales with its input, such as the mean.
+
+    Finite non-negative scores near the float maximum can overflow the
+    intermediate sums; only then is the statistic taken in units of the
+    largest score, so ordinary inputs keep their exact rounding.
+    """
+    with np.errstate(over="ignore"):
+        value = float(stat(g))
+    if np.isfinite(value):
+        return value
+    top = float(g.max())
+    return float(stat(g / top)) * top
 
 
 def lwm_aggregate(scores: GroupedScores) -> GroupAggregates:
@@ -73,7 +88,15 @@ def lwm_aggregate(scores: GroupedScores) -> GroupAggregates:
             values[label] = lo
             continue
         wsum, wqsum = kernels.low_weight_sums(g, lo, hi)
-        values[label] = hi if wsum == 0.0 else wqsum / wsum
+        if wsum == 0.0:
+            values[label] = hi
+        elif np.isfinite(wqsum):
+            values[label] = wqsum / wsum
+        else:
+            # the weighted sum itself exceeds the float range; the weights
+            # are scale-free, so weigh the scores in units of the maximum
+            wsum, wqsum = kernels.low_weight_sums(g / hi, lo / hi, 1.0)
+            values[label] = wqsum / wsum * hi
     return GroupAggregates("lwm", values)
 
 
@@ -96,16 +119,26 @@ def gini_coefficient(aggregates: GroupAggregates | Mapping[str, float] | Iterabl
     if np.any(values < 0):
         raise DomainError("Gini coefficient requires non-negative values")
     x = np.sort(values)
-    total = float(x.sum())  # summed after sorting: exactly permutation-invariant
-    if total == 0.0:
+    pair_sum, norm = _gini_terms(x)
+    if norm == 0.0:
         return 0.0
-    gaps = np.diff(x)
-    k = np.arange(1, n, dtype=np.float64)
-    # sum over unordered pairs {i<j} of (x_j - x_i): each adjacent gap is
-    # crossed by (left count) * (right count) pairs
-    pair_sum = float(np.sum(k * (n - k) * gaps))
-    gc = pair_sum / ((n - 1) * total)
+    if not (np.isfinite(pair_sum) and np.isfinite(norm)):
+        # Gini is scale-invariant: measure in units of the maximum instead
+        pair_sum, norm = _gini_terms(x / x[-1])
+    gc = pair_sum / norm
     return min(max(gc, 0.0), 1.0)
+
+
+def _gini_terms(x: np.ndarray) -> tuple[float, float]:
+    """(pair sum, (n - 1) * total) of ascending values; either may overflow to inf."""
+    n = x.size
+    k = np.arange(1, n, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        # sum over unordered pairs {i<j} of (x_j - x_i): each adjacent gap is
+        # crossed by (left count) * (right count) pairs
+        pair_sum = float(np.sum(k * (n - k) * np.diff(x)))
+        total = float(x.sum())  # summed after sorting: exactly permutation-invariant
+    return pair_sum, (n - 1) * total
 
 
 def sqfr(gc: float) -> float:
@@ -173,8 +206,9 @@ def discard_curve(scores: GroupedScores, thresholds) -> DiscardCurve:
         raise DomainError("thresholds must be sorted ascending")
     fractions = {}
     for label, g in scores.groups.items():
-        counts = kernels.count_below(np.sort(g), thresholds)
-        fractions[label] = counts / g.size
+        if np.any(g[1:] < g[:-1]):  # loaded datasets are already ascending
+            g = np.sort(g)
+        fractions[label] = kernels.count_below(g, thresholds) / g.size
     return DiscardCurve(thresholds, fractions)
 
 
@@ -219,7 +253,7 @@ def evaluate_component(
     ``measures`` restricts the output to a subset of :data:`ALL_MEASURES`
     keys; aggregates are computed once per aggregator actually needed.
     """
-    scores.require_valid()
+    scores = scores.validated()
     wanted = _normalize_measures(measures)
     gini_cache: dict[str, float] = {}
 

@@ -84,6 +84,7 @@ def build_report(
     keys = tuple(selected) if selected is not None else ALL_MEASURES
     components = []
     for cid, grouped in dataset.components.items():
+        grouped = grouped.validated()
         means = measures.mean_aggregate(grouped).values
         medians = measures.median_aggregate(grouped).values
         lwms = measures.lwm_aggregate(grouped).values

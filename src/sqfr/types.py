@@ -73,6 +73,18 @@ class GroupedScores:
         if problems:
             raise ValidationError("; ".join(problems))
 
+    def validated(self) -> GroupedScores:
+        """These scores after one :meth:`require_valid`, as a collection whose
+        own ``require_valid`` is free.
+
+        A caller that hands one collection to several measures checks it
+        once this way instead of once per measure.
+        """
+        if isinstance(self, _ValidatedScores):
+            return self
+        self.require_valid()
+        return _ValidatedScores(self.component_id, self.groups)
+
     def union(self) -> np.ndarray:
         """All scores across groups, concatenated in group order."""
         return np.concatenate(list(self.groups.values()))
@@ -88,6 +100,13 @@ class GroupedScores:
             and list(self.groups) == list(other.groups)
             and all(np.array_equal(self.groups[k], other.groups[k]) for k in self.groups)
         )
+
+
+class _ValidatedScores(GroupedScores):
+    """GroupedScores that passed require_valid; see GroupedScores.validated."""
+
+    def require_valid(self) -> None:
+        return None
 
 
 @dataclass

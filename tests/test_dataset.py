@@ -1,5 +1,6 @@
 """Loading, validation and round-trip behavior of the dataset formats."""
 
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,12 @@ class TestLoadCsv:
         ds = load_csv(write(tmp_path / "d.csv", text))
         assert ds.components["q"].groups["A"].tolist() == [1, 3]
 
+    def test_repeated_column_name_is_config_error(self, tmp_path):
+        # csv.DictReader would read the last 'group' column: X and Y, not A and B
+        text = "group,component,score,group\nA,s,1,X\nB,s,2,Y\n"
+        with pytest.raises(ConfigError, match="'group' appear more than once"):
+            load_csv(write(tmp_path / "d.csv", text))
+
 
 class TestLoadJson:
     def test_minimal_document(self, tmp_path):
@@ -138,6 +145,19 @@ class TestLoadJson:
         for doc in ("[1]", "{}", '{"components": 3}', '{"components":{"q": []}}'):
             with pytest.raises(ParseError):
                 load_json(write(tmp_path / "d.json", doc))
+
+    @pytest.mark.parametrize(
+        "doc, where, key",
+        [
+            ('{"components":{"s":{"A":[1],"B":[2]}},"components":{}}', "$", "components"),
+            ('{"components":{"s":{"A":[1],"B":[2]},"s":{"A":[3],"B":[4]}}}', "components", "s"),
+            ('{"components":{"s":{"A":[1,2],"B":[5,6],"A":[50,60]}}}', "components.s", "A"),
+        ],
+        ids=["top", "components", "groups"],
+    )
+    def test_duplicate_key_cites_json_path(self, tmp_path, doc, where, key):
+        with pytest.raises(ParseError, match=rf"d\.json: {re.escape(where)}: duplicate key '{key}'"):
+            load_json(write(tmp_path / "d.json", doc))
 
     def test_empty_group_list_rejected(self, tmp_path):
         path = write(tmp_path / "d.json", '{"components":{"q":{"A":[],"B":[1]}}}')

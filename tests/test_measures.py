@@ -25,6 +25,8 @@ from sqfr import (
     relevant_thresholds,
     sqfr,
 )
+from sqfr.dataset import Dataset
+from sqfr.report import build_report
 from sqfr.types import DiscardCurve
 
 
@@ -66,6 +68,43 @@ class TestAggregates:
         gs = grouped({"z": [1.0], "a": [2.0]})
         assert list(mean_aggregate(gs).values) == ["z", "a"]
 
+    def test_sums_beyond_float_range_stay_finite(self):
+        gs = grouped({"A": [1e308, 1e308, 7e307, 7e307], "B": [1.0]})
+        assert mean_aggregate(gs).values["A"] == pytest.approx(8.5e307, rel=1e-15)
+        assert median_aggregate(gs).values["A"] == pytest.approx(8.5e307, rel=1e-15)
+
+
+class TestValidation:
+    INVALID = grouped({"A": [1.0, -2.0], "B": [3.0]})
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            mean_aggregate,
+            median_aggregate,
+            lwm_aggregate,
+            relevant_thresholds,
+            observed_thresholds,
+            lambda gs: discard_curve(gs, [2.0]),
+            mdg_sqfr,
+            evaluate_component,
+        ],
+        ids=["mean", "median", "lwm", "relevant", "observed", "discard", "mdg", "evaluate"],
+    )
+    def test_direct_calls_reject_invalid_scores(self, call):
+        with pytest.raises(ValidationError, match="negative scores"):
+            call(self.INVALID)
+
+    def test_report_checks_each_component_once(self, monkeypatch):
+        calls = []
+        original = GroupedScores.problems
+        monkeypatch.setattr(
+            GroupedScores, "problems", lambda self: calls.append(1) or original(self)
+        )
+        gs = grouped({"A": [1.0, 2.0], "B": [3.0, 5.0]})
+        build_report(Dataset({"q": gs}))
+        assert len(calls) == 1
+
 
 class TestLwm:
     def test_degenerate_single_score(self):
@@ -93,6 +132,11 @@ class TestLwm:
         gs = grouped({"A": [20, 80], "B": [20, 80, 50]})
         values = lwm_aggregate(gs).values
         assert values["A"] < 50  # plain mean would be 50
+
+    def test_weighted_sum_beyond_float_range(self):
+        # sum of w * q is 10 * 0.5 * 5e307 = 2.5e308, past the float maximum
+        gs = grouped({"A": [5e307] * 10 + [0.0], "B": [1e308]})
+        assert lwm_aggregate(gs).values["A"] == pytest.approx(5e307 * (5 / 6), rel=1e-12)
 
 
 class TestGini:
@@ -127,6 +171,11 @@ class TestGini:
 
     def test_all_zero_is_perfect_equality(self):
         assert gini_coefficient([0.0, 0.0, 0.0]) == 0.0
+
+    def test_sums_beyond_float_range_stay_finite(self):
+        assert gini_coefficient([1e308, 1e308, 0.0]) == pytest.approx(0.5, rel=1e-15)
+        # the sums fit, but (n - 1) * total does not
+        assert gini_coefficient([5e307, 5e307, 6e307]) == pytest.approx(0.0625, rel=1e-12)
 
     def test_extreme_concentration_hits_one(self):
         # one group holds everything: the n/(n-1) correction makes this exactly 1
@@ -201,6 +250,10 @@ class TestDiscard:
         # strict comparison: nothing is below its own value
         gs = grouped({"A": [1, 2], "B": [5]})
         assert discard_curve(gs, [1]).fractions["A"].tolist() == [0.0]
+
+    def test_unsorted_group_counts_like_sorted(self):
+        gs = grouped({"A": [3.0, 1.0, 2.0], "B": [5.0]})
+        assert discard_curve(gs, [2, 3]).fractions["A"].tolist() == [1 / 3, 2 / 3]
 
     def test_unsorted_thresholds_rejected(self):
         gs = grouped({"A": [1], "B": [2]})

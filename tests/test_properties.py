@@ -1,10 +1,12 @@
 """Property-based tests for the measure invariants."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sqfr import (
     GroupedScores,
@@ -12,8 +14,11 @@ from sqfr import (
     discard_curve,
     evaluate_component,
     gini_coefficient,
+    kernels,
     lwm_aggregate,
     mdg,
+    mean_aggregate,
+    median_aggregate,
     relevant_thresholds,
     sqfr,
 )
@@ -24,6 +29,19 @@ finite_scores = st.one_of(
     st.just(0.0), st.floats(min_value=1e-6, max_value=1000.0, allow_nan=False)
 )
 aggregate_values = st.lists(finite_scores, min_size=2, max_size=12)
+
+#: Below the smallest normal float, results keep only absolute accuracy.
+TINY = float(np.finfo(np.float64).tiny)
+
+# zero, subnormals, and every binade from 1e-300 up to 1e308
+extreme_scores = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=TINY, exclude_min=True),
+    st.floats(min_value=1e-300, max_value=1e308),
+)
+extreme_groups = st.lists(
+    st.lists(extreme_scores, min_size=1, max_size=10), min_size=2, max_size=4
+).map(lambda gs: GroupedScores("q", {f"g{i}": g for i, g in enumerate(gs)}))
 
 
 def grouped_strategy(max_groups=5, max_size=30, integers=False):
@@ -91,6 +109,70 @@ class TestGiniProperties:
     @settings(max_examples=300)
     def test_result_in_unit_interval(self, values):
         assert 0.0 <= gini_coefficient(values) <= 1.0
+
+
+def gini_exact(values):
+    """The defining pair sum in exact rational arithmetic."""
+    xs = [Fraction(v) for v in values]
+    n = len(xs)
+    s = sum(xs)
+    if s == 0:
+        return 0.0
+    total = sum(abs(a - b) for a in xs for b in xs)
+    return float(total / (2 * (n - 1) * s))
+
+
+class TestExtremeMagnitudes:
+    """Finite scores of any magnitude give finite results, never nan."""
+
+    @given(st.lists(extreme_scores, min_size=2, max_size=12))
+    @settings(max_examples=300)
+    def test_gini_matches_exact(self, values):
+        gc = gini_coefficient(values)
+        assert 0.0 <= gc <= 1.0
+        assert gc == pytest.approx(gini_exact(values), rel=1e-12, abs=1e-12)
+
+    @given(extreme_groups)
+    @settings(max_examples=300, deadline=None)
+    def test_mean_and_median_match_exact(self, grouped):
+        means = mean_aggregate(grouped).values
+        medians = median_aggregate(grouped).values
+        for label, g in grouped.groups.items():
+            xs = sorted(Fraction(v) for v in g)
+            mid = len(xs) // 2
+            median = xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2
+            assert means[label] == pytest.approx(float(sum(xs) / len(xs)), rel=1e-12, abs=TINY)
+            assert medians[label] == pytest.approx(float(median), rel=1e-12, abs=TINY)
+
+    @given(extreme_groups)
+    @example(GroupedScores("q", {"A": [5e307] * 10 + [0.0], "B": [1e308]}))  # sum overflows
+    @settings(max_examples=300, deadline=None)
+    def test_low_weight_sums_match_exact(self, grouped):
+        pooled = grouped.union()
+        lo, hi = float(pooled.min()), float(pooled.max())
+        assume(lo < hi)
+        for g in grouped.groups.values():
+            weights = [(Fraction(hi) - Fraction(v)) / (Fraction(hi) - Fraction(lo)) for v in g]
+            wqsum = sum(w * Fraction(v) for w, v in zip(weights, g))
+            got = kernels.low_weight_sums(g, lo, hi)
+            assert got[0] == pytest.approx(float(sum(weights)), rel=1e-12)
+            if wqsum <= Fraction(sys.float_info.max):
+                assert got[1] == pytest.approx(float(wqsum), rel=1e-12, abs=TINY)
+            else:  # the exact sum exceeds the float range
+                assert got[1] == math.inf
+
+    @given(extreme_groups)
+    @settings(max_examples=300, deadline=None)
+    def test_lwm_within_each_groups_range(self, grouped):
+        for label, value in lwm_aggregate(grouped).values.items():
+            g = grouped.groups[label]
+            assert g.min() * (1 - 1e-12) <= value <= g.max() * (1 + 1e-12)
+
+    @given(extreme_groups)
+    @settings(max_examples=150, deadline=None)
+    def test_all_measures_in_unit_interval(self, grouped):
+        for score in evaluate_component(grouped, thresholds_mode="observed"):
+            assert 0.0 <= score.value <= 1.0
 
 
 class TestRateProperties:
