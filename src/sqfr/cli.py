@@ -180,8 +180,8 @@ def _cmd_simulate(args) -> int:
     grouped = scenarios.generate(spec)
 
     fmt = args.format or ("json" if Path(args.out).suffix.lower() == ".json" else "csv")
-    text = dataset_io.dumps_json(grouped) if fmt == "json" else dataset_io.dumps_csv(grouped)
-    Path(args.out).write_text(text, encoding="utf-8")
+    save = dataset_io.save_json if fmt == "json" else dataset_io.save_csv
+    save(grouped, args.out)
 
     lines = [f"wrote {args.out} (scenario '{spec.name}', seed {spec.seed})"]
     lines.append("group  count  mean     median")

@@ -4,8 +4,9 @@ Two interchangeable on-disk formats:
 
 * CSV: UTF-8 with a header row, RFC-4180 quoting. Default columns
   ``group``, ``component``, ``score`` and optional ``sample_id``; names are
-  remappable. Row numbers in diagnostics are 1-based physical lines
-  (the header is line 1).
+  remappable. Scores use Python ``float()`` syntax; blank lines are
+  skipped. Row numbers in diagnostics are 1-based physical lines (the
+  header is line 1).
 * JSON: ``{"components": {"<component>": {"<group>": [score, ...]}}}``.
   Diagnostics carry the JSON path of the offending element.
 
@@ -13,6 +14,15 @@ Loaders canonicalize: components and group labels are ordered
 lexicographically and scores within a group ascending, so a dataset's
 downstream reports do not depend on input row order. Score arrays are
 frozen after loading and safe to share across threads.
+
+I/O is columnar: scores go into one typed buffer or array per
+(component, group), not a list of Python floats. ``load_csv`` checks each
+row inline (field count, a score in [0, float max], labels once per new
+(component, group)); ``load_json`` converts and checks each group's list
+as one array. Only input that fails those cheap checks is checked again,
+row by row or element by element, by the full check, which produces
+every diagnostic and cites its row or JSON path. ``dumps_csv`` quotes the
+labels once per group and formats the scores in blocks.
 """
 
 from __future__ import annotations
@@ -21,6 +31,8 @@ import csv
 import io
 import json
 import math
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,15 +47,14 @@ _FORBIDDEN_LABEL_CHARS = ('"', "\n", "\r")
 #: Group-size ratio above which validate() flags a component as unbalanced.
 UNBALANCE_RATIO = 10.0
 
+_FLOAT_MAX = sys.float_info.max
 
-@dataclass
-class ScoreRecord:
-    """One parsed input row."""
+#: Rows of one group that dumps_csv formats with one string join; bounds
+#: the Python floats and strings alive at once.
+_WRITE_BLOCK = 65536
 
-    group_label: str
-    component_id: str
-    score: float
-    sample_id: str | None = None
+#: Characters per write in save_csv and save_json.
+_SAVE_CHUNK = 1 << 20
 
 
 @dataclass
@@ -88,61 +99,81 @@ def load_csv(
     In strict mode (default) any malformed row raises ParseError citing its
     row number; in lenient mode malformed rows are skipped and recorded as
     warnings in the provenance. Silent data loss can corrupt fairness
-    conclusions, hence the strict default.
+    conclusions, hence the strict default. ``sample_col`` is not read; it
+    is named only so that a header repeating it is rejected.
     """
     path = Path(path)
     warnings: list[Diagnostic] = []
-    buckets: dict[str, dict[str, list[float]]] = {}
+    buffers: dict[tuple[str, str], array] = {}
     rows = 0
     # utf-8-sig: tolerate the BOM spreadsheet exports tend to prepend
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ParseError(f"{path}: empty file, expected a header row")
-        missing = [c for c in (group_col, component_col, score_col) if c not in reader.fieldnames]
+        missing = [c for c in (group_col, component_col, score_col) if c not in header]
         if missing:
             raise ConfigError(
                 f"{path}: missing required column(s) {', '.join(map(repr, missing))};"
-                f" found {reader.fieldnames}"
+                f" found {header}"
             )
         repeated = sorted(
             {c for c in (group_col, component_col, score_col, sample_col)
-             if reader.fieldnames.count(c) > 1}
+             if header.count(c) > 1}
         )
         if repeated:
             raise ConfigError(
                 f"{path}: column(s) {', '.join(map(repr, repeated))} appear more than once"
-                f" in the header; found {reader.fieldnames}"
+                f" in the header; found {header}"
             )
-        has_sample = sample_col in reader.fieldnames
+        columns = tuple((c, header.index(c)) for c in (group_col, component_col, score_col))
+        (_, gi), (_, ci), (_, si) = columns
         for row in reader:
+            if not row:  # a blank line
+                continue
             rows += 1
+            try:
+                buf = buffers[row[ci], row[gi]]
+                score = float(row[si])
+            except (IndexError, KeyError, ValueError):
+                pass
+            else:
+                if 0.0 <= score <= _FLOAT_MAX:  # false for nan, inf and negatives
+                    buf.append(score)
+                    continue
+            # the first row of a (component, group), or a faulty one
             line = reader.line_num
             try:
-                record = _parse_row(row, line, group_col, component_col, score_col,
-                                    sample_col if has_sample else None)
+                score = _parse_row(row, line, columns)
             except ParseError as exc:
                 if strict:
                     raise
                 warnings.append(Diagnostic("warning", f"skipped row: {exc}", f"row {line}"))
                 continue
-            buckets.setdefault(record.component_id, {}).setdefault(
-                record.group_label, []
-            ).append(record.score)
+            buffers.setdefault((row[ci], row[gi]), array("d")).append(score)
+    buckets: dict[str, dict[str, array]] = {}
+    for (cid, label), buf in buffers.items():
+        buckets.setdefault(cid, {})[label] = buf
+    del buffers
     components = _canonical_components(buckets, str(path))
     return Dataset(components, Provenance(str(path), rows, warnings))
 
 
-def _parse_row(row, line, group_col, component_col, score_col, sample_col) -> ScoreRecord:
-    group = row.get(group_col)
-    component = row.get(component_col)
-    raw_score = row.get(score_col)
-    for name, value in ((group_col, group), (component_col, component), (score_col, raw_score)):
-        if value is None or value == "":
+def _parse_row(row: list[str], line: int, columns) -> float:
+    """The score of one CSV row, checking everything; ParseError names the first fault.
+
+    ``columns`` holds the (name, index) of the group, component and score
+    columns, in that order.
+    """
+    values = [(name, row[i] if i < len(row) else None) for name, i in columns]
+    for name, value in values:
+        if not value:
             raise ParseError(f"row {line}: missing value in column {name!r}")
-    for name, value in ((group_col, group), (component_col, component)):
+    for name, value in values[:2]:
         if any(ch in value for ch in _FORBIDDEN_LABEL_CHARS):
             raise ParseError(f"row {line}: column {name!r} contains quote or newline characters")
+    raw_score = values[2][1]
     try:
         score = float(raw_score)
     except ValueError:
@@ -151,8 +182,7 @@ def _parse_row(row, line, group_col, component_col, score_col, sample_col) -> Sc
         raise ParseError(f"row {line}: score {raw_score!r} is not finite")
     if score < 0:
         raise ParseError(f"row {line}: negative score {raw_score!r}")
-    sample = row.get(sample_col) if sample_col else None
-    return ScoreRecord(group, component, score, sample or None)
+    return score
 
 
 def load_json(path) -> Dataset:
@@ -183,29 +213,47 @@ def load_json(path) -> Dataset:
     comps = doc["components"]
     if not isinstance(comps, dict):
         raise ParseError(f"{path}: components: expected an object")
-    buckets: dict[str, dict[str, list[float]]] = {}
+    buckets: dict[str, dict[str, np.ndarray]] = {}
     count = 0
     for cid, groups in comps.items():
         if not isinstance(groups, dict):
             raise ParseError(f"{path}: components.{cid}: expected an object of groups")
         buckets[cid] = {}
         for label, values in groups.items():
-            where = f"components.{cid}.{label}"
+            where = f"{path}: components.{cid}.{label}"
             if not isinstance(values, list):
-                raise ParseError(f"{path}: {where}: expected an array of scores")
-            parsed = []
-            for idx, value in enumerate(values):
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ParseError(f"{path}: {where}[{idx}]: expected a number")
-                if not math.isfinite(value):
-                    raise ParseError(f"{path}: {where}[{idx}]: score is not finite")
-                if value < 0:
-                    raise ParseError(f"{path}: {where}[{idx}]: negative score {value}")
-                parsed.append(float(value))
-            buckets[cid][label] = parsed
-            count += len(parsed)
+                raise ParseError(f"{where}: expected an array of scores")
+            buckets[cid][label] = _json_scores(values, where)
+            count += len(values)
     components = _canonical_components(buckets, str(path))
     return Dataset(components, Provenance(str(path), count))
+
+
+def _json_scores(values: list, where: str) -> np.ndarray:
+    """One JSON score array as float64; ParseError cites its first bad element."""
+    if set(map(type, values)) <= {int, float}:  # exact types: bools take the loop below
+        try:
+            scores = np.array(values, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            if scores.size == 0 or (scores.min() >= 0.0 and scores.max() <= _FLOAT_MAX):
+                return scores
+    # the same checks one element at a time, to cite the first bad one
+    parsed = []
+    for idx, value in enumerate(values):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParseError(f"{where}[{idx}]: expected a number")
+        try:
+            score = float(value)
+        except OverflowError:
+            score = math.inf
+        if not math.isfinite(score):
+            raise ParseError(f"{where}[{idx}]: score is not finite")
+        if score < 0:
+            raise ParseError(f"{where}[{idx}]: negative score {value}")
+        parsed.append(score)
+    return np.array(parsed, dtype=np.float64)
 
 
 def _first_repeat(node, where: str, repeated: dict):
@@ -226,6 +274,11 @@ def _first_repeat(node, where: str, repeated: dict):
 
 
 def _canonical_components(buckets, source: str) -> dict[str, GroupedScores]:
+    """Sorted, frozen float64 arrays from per-(component, group) score buffers.
+
+    Each buffer is removed from ``buckets`` as its array is made, so the two
+    never hold the whole dataset at once.
+    """
     if not buckets:
         raise ValidationError(f"{source}: dataset contains no score records")
     components: dict[str, GroupedScores] = {}
@@ -233,7 +286,7 @@ def _canonical_components(buckets, source: str) -> dict[str, GroupedScores]:
     for cid in sorted(buckets):
         groups = {}
         for label in sorted(buckets[cid]):
-            arr = np.sort(np.asarray(buckets[cid][label], dtype=np.float64))
+            arr = np.sort(np.asarray(buckets[cid].pop(label), dtype=np.float64))
             arr.flags.writeable = False
             groups[label] = arr
         grouped = GroupedScores(cid, groups)
@@ -307,8 +360,16 @@ def dumps_csv(data) -> str:
     writer.writerow(["component", "group", "score"])
     for cid, grouped in components.items():
         for label, scores in grouped.groups.items():
-            for score in scores:
-                writer.writerow([cid, label, repr(float(score))])
+            # quote the labels once per group; a float's repr needs no quoting
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\n").writerow([cid, label, ""])
+            prefix = line.getvalue()[:-1]
+            sep = "\n" + prefix
+            for start in range(0, scores.size, _WRITE_BLOCK):
+                block = scores[start:start + _WRITE_BLOCK].tolist()
+                buf.write(prefix)
+                buf.write(sep.join(map(repr, block)))
+                buf.write("\n")
     return buf.getvalue()
 
 
@@ -325,8 +386,16 @@ def dumps_json(data) -> str:
 
 
 def save_csv(data, path) -> None:
-    Path(path).write_text(dumps_csv(data), encoding="utf-8")
+    _write_text(path, dumps_csv(data))
 
 
 def save_json(data, path) -> None:
-    Path(path).write_text(dumps_json(data), encoding="utf-8")
+    _write_text(path, dumps_json(data))
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 one slice at a time, so that no encoded copy
+    of the whole text is held beside it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, len(text), _SAVE_CHUNK):
+            fh.write(text[start:start + _SAVE_CHUNK])

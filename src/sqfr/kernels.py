@@ -28,7 +28,8 @@ def count_below(sorted_scores, thresholds) -> np.ndarray:
     place the discard predicate lives: a threshold equal to the smallest
     score discards nothing.
     """
-    return np.searchsorted(_c1d(sorted_scores), _c1d(thresholds), side="left").astype(np.int64)
+    counts = np.searchsorted(_c1d(sorted_scores), _c1d(thresholds), side="left")
+    return counts.astype(np.int64, copy=False)  # already int64 where intp is 64-bit
 
 
 def low_weight_sums(scores, lo: float, hi: float) -> tuple[float, float]:

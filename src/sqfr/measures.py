@@ -50,8 +50,23 @@ def mean_aggregate(scores: GroupedScores) -> GroupAggregates:
 def median_aggregate(scores: GroupedScores) -> GroupAggregates:
     """Median of each group's scores (even counts: mean of the middle two)."""
     scores.require_valid()
-    values = {label: _scale_free(np.median, g) for label, g in scores.groups.items()}
+    values = {label: _scale_free(_median, g) for label, g in scores.groups.items()}
     return GroupAggregates("median", values)
+
+
+def _median(g: np.ndarray) -> float:
+    """``np.median(g)``, read off directly when ``g`` is already ascending."""
+    if not _ascending(g):
+        return np.median(g)
+    mid = g.size // 2
+    if g.size % 2:
+        return g[mid]
+    return np.mean(g[mid - 1:mid + 1])  # the same rounding as np.median
+
+
+def _ascending(g: np.ndarray) -> bool:
+    """Whether ``g`` is sorted ascending, as loaded datasets are."""
+    return not np.any(g[1:] < g[:-1])
 
 
 def _scale_free(stat, g: np.ndarray) -> float:
@@ -206,7 +221,7 @@ def discard_curve(scores: GroupedScores, thresholds) -> DiscardCurve:
         raise DomainError("thresholds must be sorted ascending")
     fractions = {}
     for label, g in scores.groups.items():
-        if np.any(g[1:] < g[:-1]):  # loaded datasets are already ascending
+        if not _ascending(g):
             g = np.sort(g)
         fractions[label] = kernels.count_below(g, thresholds) / g.size
     return DiscardCurve(thresholds, fractions)
@@ -222,9 +237,15 @@ def mdg(curve: DiscardCurve) -> float:
         raise DomainError("mean discard gap needs at least one threshold")
     if len(curve.fractions) < 2:
         raise DomainError("mean discard gap needs at least 2 groups")
-    stacked = np.vstack(list(curve.fractions.values()))
-    gaps = stacked.max(axis=0) - stacked.min(axis=0)
-    return float(gaps.mean())
+    # running extremes, so no (groups x thresholds) stack is built
+    rows = iter(curve.fractions.values())
+    first = np.asarray(next(rows), dtype=np.float64)
+    hi, lo = first.copy(), first.copy()
+    for row in rows:
+        np.maximum(hi, row, out=hi)
+        np.minimum(lo, row, out=lo)
+    hi -= lo  # the gap at each threshold
+    return float(hi.mean())
 
 
 def mdg_sqfr(
@@ -247,20 +268,30 @@ def evaluate_component(
     step: float = 1.0,
     thresholds_mode: str = "sequence",
     measures: Iterable[str] | None = None,
+    aggregates: Mapping[str, GroupAggregates] | None = None,
 ) -> list[FairnessScore]:
     """All fairness measures for one quality component, in canonical order.
 
     ``measures`` restricts the output to a subset of :data:`ALL_MEASURES`
     keys; aggregates are computed once per aggregator actually needed.
+    ``aggregates`` maps aggregator kinds to aggregates the caller already
+    holds for these scores, such as a report summary's; they are used
+    instead of being computed again.
     """
     scores = scores.validated()
     wanted = _normalize_measures(measures)
+    given = aggregates or {}
     gini_cache: dict[str, float] = {}
 
     def gc_for(kind: str) -> float:
         if kind not in gini_cache:
-            agg = {"mean": mean_aggregate, "median": median_aggregate, "lwm": lwm_aggregate}[kind]
-            gini_cache[kind] = gini_coefficient(agg(scores))
+            if kind in given:
+                agg = given[kind]
+            else:
+                compute = {"mean": mean_aggregate, "median": median_aggregate,
+                           "lwm": lwm_aggregate}[kind]
+                agg = compute(scores)
+            gini_cache[kind] = gini_coefficient(agg)
         return gini_cache[kind]
 
     out = []

@@ -85,16 +85,18 @@ def build_report(
     components = []
     for cid, grouped in dataset.components.items():
         grouped = grouped.validated()
-        means = measures.mean_aggregate(grouped).values
-        medians = measures.median_aggregate(grouped).values
-        lwms = measures.lwm_aggregate(grouped).values
+        mean = measures.mean_aggregate(grouped)
+        median = measures.median_aggregate(grouped)
+        lwm = measures.lwm_aggregate(grouped)
         sizes = grouped.group_sizes()
         summary = [
-            GroupSummary(label, sizes[label], means[label], medians[label], lwms[label])
+            GroupSummary(label, sizes[label], mean.values[label], median.values[label],
+                         lwm.values[label])
             for label in grouped.groups
         ]
         scores = measures.evaluate_component(
-            grouped, step=threshold_step, thresholds_mode=thresholds_mode, measures=keys
+            grouped, step=threshold_step, thresholds_mode=thresholds_mode, measures=keys,
+            aggregates={"mean": mean, "median": median, "lwm": lwm},
         )
         components.append(
             ComponentResult(cid, summary, {s.measure: s.value for s in scores})

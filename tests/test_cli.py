@@ -71,6 +71,13 @@ class TestEval:
         assert "warning:" in captured.err and "row 3" in captured.err
         assert json.loads(captured.out)["components"][0]["component"] == "q"
 
+    def test_json_integer_beyond_float_range_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"components": {"q": {"A": [1, 2], "B": [1%s]}}}' % ("0" * 400))
+        assert main(["eval", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: components.q.B[0]: score is not finite\n"
+
     def test_unknown_measure_exits_2(self, q2_csv, capsys):
         assert main(["eval", "--input", str(q2_csv), "--measures", "bogus"]) == 2
         assert "valid measures" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from sqfr import (
     save_json,
     validate,
 )
+from sqfr.dataset import dumps_csv, dumps_json
 from sqfr.report import build_report, to_json
 
 
@@ -159,6 +160,11 @@ class TestLoadJson:
         with pytest.raises(ParseError, match=rf"d\.json: {re.escape(where)}: duplicate key '{key}'"):
             load_json(write(tmp_path / "d.json", doc))
 
+    def test_integer_beyond_float_range_is_not_finite(self, tmp_path):
+        doc = '{"components": {"q": {"A": [1, 2], "B": [1%s]}}}' % ("0" * 400)
+        with pytest.raises(ParseError, match=r"components\.q\.B\[0\]: score is not finite$"):
+            load_json(write(tmp_path / "d.json", doc))
+
     def test_empty_group_list_rejected(self, tmp_path):
         path = write(tmp_path / "d.json", '{"components":{"q":{"A":[],"B":[1]}}}')
         with pytest.raises(ValidationError, match="group 'A' has no scores"):
@@ -175,6 +181,14 @@ class TestRoundTrip:
         ds = load_csv(write(tmp_path / "d.csv", BASIC_CSV))
         save_json(ds, tmp_path / "out.json")
         assert load_json(tmp_path / "out.json").components == ds.components
+
+    def test_saved_files_hold_the_dumped_text(self, tmp_path):
+        # larger than one write slice, with a non-ASCII label
+        gs = GroupedScores("q", {"Å": np.linspace(0, 100, 150_001), "B": [1.0]})
+        save_csv(gs, tmp_path / "out.csv")
+        save_json(gs, tmp_path / "out.json")
+        assert (tmp_path / "out.csv").read_text(encoding="utf-8") == dumps_csv(gs)
+        assert (tmp_path / "out.json").read_text(encoding="utf-8") == dumps_json(gs)
 
     def test_fractional_scores_roundtrip_exactly(self, tmp_path):
         gs = GroupedScores("q", {"A": [0.1, 1 / 3], "B": [99.999999]})

@@ -1,0 +1,383 @@
+"""The columnar CSV/JSON loaders and CSV writer against per-row oracles.
+
+The oracles below are the earlier per-score implementations: a
+``csv.DictReader`` loop that checks and stores one row at a time, a JSON
+loop that checks one value at a time, and a writer that quotes every row.
+The columnar code must load the same datasets (component and group order,
+float64 bits, frozen arrays, row counts) and raise the same errors and
+lenient warnings, and write the same bytes.
+"""
+
+import csv
+import io
+import json
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sqfr import GroupedScores, ParseError, ValidationError, builtin_scenarios, generate
+from sqfr.dataset import (
+    Dataset,
+    Diagnostic,
+    Provenance,
+    _first_repeat,
+    dumps_csv,
+    load_csv,
+    load_json,
+)
+
+# --- oracles: one Python object per score --------------------------------
+
+
+def oracle_load_csv(path, group_col="group", component_col="component", score_col="score",
+                    sample_col="sample_id", strict=True):
+    from sqfr.errors import ConfigError
+
+    warnings = []
+    buckets = {}
+    rows = 0
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ParseError(f"{path}: empty file, expected a header row")
+        missing = [c for c in (group_col, component_col, score_col) if c not in reader.fieldnames]
+        if missing:
+            raise ConfigError(
+                f"{path}: missing required column(s) {', '.join(map(repr, missing))};"
+                f" found {reader.fieldnames}"
+            )
+        repeated = sorted(
+            {c for c in (group_col, component_col, score_col, sample_col)
+             if reader.fieldnames.count(c) > 1}
+        )
+        if repeated:
+            raise ConfigError(
+                f"{path}: column(s) {', '.join(map(repr, repeated))} appear more than once"
+                f" in the header; found {reader.fieldnames}"
+            )
+        for row in reader:
+            rows += 1
+            line = reader.line_num
+            try:
+                group, component, score = _oracle_parse_row(
+                    row, line, group_col, component_col, score_col)
+            except ParseError as exc:
+                if strict:
+                    raise
+                warnings.append(Diagnostic("warning", f"skipped row: {exc}", f"row {line}"))
+                continue
+            buckets.setdefault(component, {}).setdefault(group, []).append(score)
+    return Dataset(_oracle_canonical(buckets, str(path)), Provenance(str(path), rows, warnings))
+
+
+def _oracle_parse_row(row, line, group_col, component_col, score_col):
+    group = row.get(group_col)
+    component = row.get(component_col)
+    raw_score = row.get(score_col)
+    for name, value in ((group_col, group), (component_col, component), (score_col, raw_score)):
+        if value is None or value == "":
+            raise ParseError(f"row {line}: missing value in column {name!r}")
+    for name, value in ((group_col, group), (component_col, component)):
+        if any(ch in value for ch in ('"', "\n", "\r")):
+            raise ParseError(f"row {line}: column {name!r} contains quote or newline characters")
+    try:
+        score = float(raw_score)
+    except ValueError:
+        raise ParseError(f"row {line}: score {raw_score!r} is not a number") from None
+    if not math.isfinite(score):
+        raise ParseError(f"row {line}: score {raw_score!r} is not finite")
+    if score < 0:
+        raise ParseError(f"row {line}: negative score {raw_score!r}")
+    return group, component, score
+
+
+def oracle_load_json(path):
+    repeated = {}
+
+    def keep_repeats(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+            repeated[id(obj)] = (obj, key)
+        return obj
+
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh, object_pairs_hook=keep_repeats)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    if repeated:
+        where, key = _first_repeat(doc, "", repeated)
+        raise ParseError(f"{path}: {where or '$'}: duplicate key {key!r}")
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: $: expected a top-level object")
+    if "components" not in doc:
+        raise ParseError(f"{path}: $: missing 'components' key")
+    comps = doc["components"]
+    if not isinstance(comps, dict):
+        raise ParseError(f"{path}: components: expected an object")
+    buckets = {}
+    count = 0
+    for cid, groups in comps.items():
+        if not isinstance(groups, dict):
+            raise ParseError(f"{path}: components.{cid}: expected an object of groups")
+        buckets[cid] = {}
+        for label, values in groups.items():
+            where = f"components.{cid}.{label}"
+            if not isinstance(values, list):
+                raise ParseError(f"{path}: {where}: expected an array of scores")
+            parsed = []
+            for idx, value in enumerate(values):
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ParseError(f"{path}: {where}[{idx}]: expected a number")
+                if not math.isfinite(value):  # OverflowError on an int beyond the float range
+                    raise ParseError(f"{path}: {where}[{idx}]: score is not finite")
+                if value < 0:
+                    raise ParseError(f"{path}: {where}[{idx}]: negative score {value}")
+                parsed.append(float(value))
+            buckets[cid][label] = parsed
+            count += len(parsed)
+    return Dataset(_oracle_canonical(buckets, str(path)), Provenance(str(path), count))
+
+
+def _oracle_canonical(buckets, source):
+    if not buckets:
+        raise ValidationError(f"{source}: dataset contains no score records")
+    components = {}
+    problems = []
+    for cid in sorted(buckets):
+        groups = {}
+        for label in sorted(buckets[cid]):
+            arr = np.sort(np.asarray(buckets[cid][label], dtype=np.float64))
+            arr.flags.writeable = False
+            groups[label] = arr
+        grouped = GroupedScores(cid, groups)
+        problems.extend(grouped.problems())
+        components[cid] = grouped
+    if problems:
+        raise ValidationError("; ".join(problems))
+    return components
+
+
+def oracle_dumps_csv(components):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["component", "group", "score"])
+    for cid, grouped in components.items():
+        for label, scores in grouped.groups.items():
+            for score in scores:
+                writer.writerow([cid, label, repr(float(score))])
+    return buf.getvalue()
+
+
+# --- comparison -----------------------------------------------------------
+
+
+def outcome(load, *args, **kwargs):
+    """A load's result, or its exception, in a form that compares exactly."""
+    try:
+        ds = load(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return ("raised", type(exc).__name__, str(exc))
+    comps = []
+    for cid, grouped in ds.components.items():
+        groups = []
+        for label, arr in grouped.groups.items():
+            assert arr.dtype == np.float64
+            assert not arr.flags.writeable
+            groups.append((label, arr.tobytes()))
+        comps.append((cid, grouped.component_id, groups))
+    warnings = [(d.severity, d.message, d.location) for d in ds.provenance.warnings]
+    return ("loaded", comps, ds.provenance.source, ds.provenance.row_count, warnings)
+
+
+def assert_csv_parity(path, **kwargs):
+    for strict in (True, False):
+        new = outcome(load_csv, path, strict=strict, **kwargs)
+        assert new == outcome(oracle_load_csv, path, strict=strict, **kwargs)
+    return new
+
+
+def write(path, text, encoding="utf-8"):
+    path.write_bytes(text.encode(encoding))
+    return path
+
+
+HEADER = "group,component,score\n"
+
+CSV_CASES = {
+    # the malformed and edge inputs of test_dataset.py
+    "basic": HEADER + "A,q1,10\nB,q1,20\nA,q2,30\nB,q2,40\nA,q1,12\nB,q2,44\n",
+    "unparsable": HEADER + "A,q,1\nB,q,2\nA,q,abc\n",
+    "lenient-two-bad": HEADER + "A,q,1\nB,q,2\nA,q,abc\nB,q,-3\n",
+    "missing-column": "group,component,points\nA,q,1\n",
+    "single-group": HEADER + "A,q,1\nA,q,2\n",
+    "empty-file": "",
+    "header-only": HEADER,
+    "quoted-comma-label": HEADER + '"young, urban",q,1\nother,q,2\n',
+    "missing-field": HEADER + "A,q,1\nB,q\n",
+    "inf": HEADER + "A,q,1\nB,q,inf\n",
+    "bom": "\ufeff" + HEADER + "A,q,1\nB,q,2\n",
+    "sample-id": "group,component,score,sample_id\nA,q,1,s1\nB,q,2,s2\nA,q,3,\n",
+    "repeated-column": "group,component,score,group\nA,s,1,X\nB,s,2,Y\n",
+    "repeated-sample-column": "group,component,score,sample_id,sample_id\nA,s,1,x,y\nB,s,2,x,y\n",
+    # blank lines, here and there
+    "blank-lines": HEADER + "A,q,1\n\nB,q,2\n\n\nA,q,3\n\n",
+    "blank-after-header": HEADER + "\n\nA,q,1\nB,q,2\n",
+    "blank-then-bad": HEADER + "A,q,1\n\n\nB,q,x\nB,q,2\nA,q,y\n\nA,q,-1\n",
+    "blank-first-line": "\n" + HEADER + "A,q,1\nB,q,2\n",
+    "crlf": HEADER.replace("\n", "\r\n") + "A,q,1\r\n\r\nB,q,x\r\nB,q,2\r\n",
+    # row shapes
+    "short-rows": HEADER + "A,q,1\nB\nB,q\nB,q,2\n",
+    "extra-columns": HEADER + "A,q,1,extra,more\nB,q,2,\n",
+    "reordered-columns": "score,x,component,group\n1,,q,A\n2,,q,B\n",
+    "empty-fields": HEADER + ",q,1\nA,,1\nA,q,\nA,q,1\nB,q,2\n",
+    "forbidden-label": HEADER + '"A""x",q,1\n"multi\nline",q,2\nA,"c\rr",3\nA,q,1\nB,q,2\n',
+    "multiline-then-bad": HEADER + '"B\nC",q,1\nA,q,1\nB,q,bad\nB,q,2\n',
+    "whitespace-label": HEADER + " A,q,1\nA ,q,2\nA,q,3\n",
+    # score spellings
+    "spaced-score": HEADER + "A,q, 1 \nB,q,2\t\n",
+    "underscore-score": HEADER + "A,q,1_0\nB,q,2\n",
+    "nan-score": HEADER + "A,q,nan\nA,q,NaN\nA,q,1\nB,q,2\n",
+    "negative-zero": HEADER + "A,q,-0\nA,q,-0.0\nB,q,0\n",
+    "overflowing-float": HEADER + "A,q,1e309\nA,q,-1e309\nA,q,1\nB,q,2\n",
+    "beyond-2-53": HEADER + f"A,q,{2**53 + 1}\nB,q,{2**64 + 3}\n",
+    "ten-to-308": HEADER + f"A,q,{10**308}\nB,q,1\n",
+    "ten-to-309": HEADER + f"A,q,{10**309}\nA,q,1\nB,q,2\n",
+    "exponent-forms": HEADER + "A,q,1e3\nA,q,.5\nA,q,5.\nB,q,+2\nB,q,0x10\nB,q,infinity\n",
+    "negative": HEADER + "A,q,-3\nA,q,-1e-300\nA,q,1\nB,q,2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_CASES))
+def test_csv_load_parity(tmp_path, name):
+    assert_csv_parity(write(tmp_path / "d.csv", CSV_CASES[name]))
+
+
+def test_csv_remapped_columns_parity(tmp_path):
+    path = write(tmp_path / "d.csv", "who,what,points,id\nA,q,1,x\nB,q,2,y\nB,q,z,\n")
+    assert_csv_parity(path, group_col="who", component_col="what", score_col="points",
+                      sample_col="id")
+
+
+def test_rows_after_blank_lines_keep_their_line_numbers(tmp_path):
+    path = write(tmp_path / "d.csv", HEADER + "A,q,1\n\n\nB,q,x\n")
+    with pytest.raises(ParseError, match=r"^row 5: score 'x' is not a number$"):
+        load_csv(path)
+
+
+JSON_CASES = {
+    "minimal": '{"components":{"q":{"A":[1,2],"B":[3]}}}',
+    "empty-components": '{"components":{}}',
+    "string-value": '{"components":{"q":{"A":[1,2,"x"],"B":[3]}}}',
+    "negative": '{"components":{"q":{"A":[1],"B":[-3]}}}',
+    "invalid-json": "{nope",
+    "top-level-list": "[1]",
+    "no-components": "{}",
+    "components-not-object": '{"components": 3}',
+    "groups-not-object": '{"components":{"q": []}}',
+    "duplicate-top": '{"components":{"s":{"A":[1],"B":[2]}},"components":{}}',
+    "duplicate-component": '{"components":{"s":{"A":[1],"B":[2]},"s":{"A":[3],"B":[4]}}}',
+    "duplicate-group": '{"components":{"s":{"A":[1,2],"B":[5,6],"A":[50,60]}}}',
+    "empty-group": '{"components":{"q":{"A":[],"B":[1]}}}',
+    "scores-not-list": '{"components":{"q":{"A":3,"B":[1]}}}',
+    "bool": '{"components":{"q":{"A":[1,true],"B":[1]}}}',
+    "null": '{"components":{"q":{"A":[null],"B":[1]}}}',
+    "nested-list": '{"components":{"q":{"A":[[1]],"B":[1]}}}',
+    "nan": '{"components":{"q":{"A":[1,NaN],"B":[1]}}}',
+    "infinity": '{"components":{"q":{"A":[Infinity],"B":[-Infinity]}}}',
+    "float-overflow": '{"components":{"q":{"A":[1e309],"B":[1]}}}',
+    "negative-zero": '{"components":{"q":{"A":[-0, -0.0],"B":[0]}}}',
+    "beyond-2-53": f'{{"components":{{"q":{{"A":[{2**53 + 1}, 0.5],"B":[{2**64 + 3}]}}}}}}',
+    "ten-to-308": f'{{"components":{{"q":{{"A":[{10**308}],"B":[1]}}}}}}',
+    "mixed-int-float": '{"components":{"z":{"B":[2, 1.5, 3],"A":[0.1, 7]},"a":{"x":[1],"y":[2]}}}',
+    "negative-before-string": '{"components":{"q":{"A":[1,-2,"x"],"B":[1]}}}',
+    "string-before-negative": '{"components":{"q":{"A":[1,"x",-2],"B":[1]}}}',
+    "nan-before-negative": '{"components":{"q":{"A":[NaN,-1],"B":[1]}}}',
+    "negative-before-nan": '{"components":{"q":{"A":[-1,NaN],"B":[1]}}}',
+    "bool-before-overflow": '{"components":{"q":{"A":[true,1e999],"B":[1]}}}',
+    "negative-before-bool": '{"components":{"q":{"A":[2,-1,false],"B":[1]}}}',
+    "bad-group-before-bad-component": '{"components":{"q":{"A":[-1],"B":[1]},"r":[]}}',
+    "good-then-bad-group": '{"components":{"q":{"A":[1,2],"B":[3,"x"]}}}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_CASES))
+def test_json_load_parity(tmp_path, name):
+    path = write(tmp_path / "d.json", JSON_CASES[name])
+    assert outcome(load_json, path) == outcome(oracle_load_json, path)
+
+
+@pytest.mark.parametrize("values, bad", [
+    (f"[{10**309}]", 0),
+    (f"[1, 2, {10**400}]", 2),
+    (f"[1, {-10**400}]", 1),
+    (f'[1, {10**400}, "x"]', 1),
+])
+def test_json_int_beyond_float_range_is_not_finite(tmp_path, values, bad):
+    path = write(tmp_path / "d.json", f'{{"components":{{"q":{{"A":[1],"B":{values}}}}}}}')
+    with pytest.raises(OverflowError):
+        oracle_load_json(path)
+    with pytest.raises(ParseError, match=rf"components\.q\.B\[{bad}\]: score is not finite$"):
+        load_json(path)
+
+
+# --- the writer -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+def test_dumps_csv_matches_on_scenarios(name):
+    grouped = generate(builtin_scenarios()[name])
+    assert dumps_csv(grouped) == oracle_dumps_csv({grouped.component_id: grouped})
+
+
+def test_dumps_csv_matches_on_labels_that_need_quoting():
+    comps = {
+        "plain": GroupedScores("plain", {"A": [1.0, 0.1], "B": [1e308, 5e-324, -0.0]}),
+        "with, comma": GroupedScores("with, comma", {" lead": [2.0], "trail ": [3.0]}),
+        'q"uote': GroupedScores('q"uote', {'a"b': [1.5], "x,y": [2.5], "": [3.5]}),
+        "": GroupedScores("", {"new\nline": [4.0], "cr\rlf": [5.0], "tab\t": [6.0]}),
+        "empty-group": GroupedScores("empty-group", {"A": [], "B": [1.0]}),
+    }
+    assert dumps_csv(comps) == oracle_dumps_csv(comps)
+
+
+def test_dumps_csv_matches_across_write_blocks():
+    scores = np.random.default_rng(3).uniform(0, 100, 200_001)
+    grouped = GroupedScores("q", {"A": scores, "B": scores[:7]})
+    assert dumps_csv(grouped) == oracle_dumps_csv({"q": grouped})
+
+
+# --- round trip -----------------------------------------------------------
+
+labels = st.text(
+    st.characters(blacklist_characters='"\r\n', blacklist_categories=("Cs",)),
+    min_size=1, max_size=8,
+)
+scores = st.lists(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=1e308, allow_nan=False, allow_infinity=False),
+        st.integers(min_value=0, max_value=100).map(float),
+        st.just(-0.0),
+    ),
+    min_size=1, max_size=12,
+)
+datasets = st.dictionaries(
+    labels, st.dictionaries(labels, scores, min_size=2, max_size=4), min_size=1, max_size=3,
+)
+
+
+@given(datasets)
+@settings(max_examples=150, deadline=None)
+def test_written_and_reloaded_csv_equals_the_oracle_load(tmp_path_factory, doc):
+    comps = {cid: GroupedScores(cid, groups) for cid, groups in doc.items()}
+    text = dumps_csv(comps)
+    assert text == oracle_dumps_csv(comps)
+    path = tmp_path_factory.mktemp("rt") / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    loaded = assert_csv_parity(path)
+    assert loaded[0] == "loaded"
+    assert loaded[3] == sum(len(v) for groups in doc.values() for v in groups.values())

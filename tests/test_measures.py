@@ -55,6 +55,28 @@ class TestAggregates:
         gs = grouped({"A": [1, 2, 100, 101], "B": [7]})
         assert median_aggregate(gs).values["A"] == 51
 
+    @pytest.mark.parametrize(
+        "values",
+        [[3.0], [1.0, 2.0], [0.1, 0.2, 0.7], [1.0, 1.0, 2.0, 2.0], [0.1, 0.2, 0.7, 1e-300],
+         [1e308, 1e308], [7e307, 1e308, 1e308], [5.0, 1.0, 3.0, 2.0], [2.0, 1.0, 9.0]],
+        ids=["one", "two", "odd", "ties", "subnormal-sum", "overflow", "overflow-odd",
+             "unsorted-even", "unsorted-odd"],
+    )
+    def test_median_matches_np_median_bit_for_bit(self, values):
+        g = np.array(values)
+        with np.errstate(over="ignore"):
+            expected = float(np.median(g))
+        if not np.isfinite(expected):
+            expected = float(np.median(g / g.max())) * float(g.max())
+        got = median_aggregate(grouped({"A": g, "B": [1.0]})).values["A"]
+        assert got == expected
+
+    def test_median_of_large_sorted_groups(self):
+        rng = np.random.default_rng(5)
+        for n in (10_000, 10_001):
+            g = np.sort(rng.uniform(0, 100, n))
+            assert median_aggregate(grouped({"A": g, "B": [1.0]})).values["A"] == np.median(g)
+
     def test_empty_group_rejected(self):
         gs = grouped({"A": [1], "B": []})
         with pytest.raises(ValidationError, match="group 'B' has no scores"):
@@ -340,6 +362,29 @@ class TestEvaluateComponent:
         gs = grouped({"A": [1, 2], "B": [3]})
         scores = evaluate_component(gs, measures=["mdg_sqfr", "mean_gc_sqfr"])
         assert [s.measure for s in scores] == ["mean_gc_sqfr", "mdg_sqfr"]
+
+    def test_given_aggregates_are_used(self, monkeypatch):
+        gs = grouped({"A": [1.0, 2.0, 9.0], "B": [3.0, 4.0], "C": [5.0]})
+        given = {"mean": mean_aggregate(gs), "median": median_aggregate(gs),
+                 "lwm": lwm_aggregate(gs)}
+        expected = evaluate_component(gs)
+        for name in ("mean_aggregate", "median_aggregate", "lwm_aggregate"):
+            monkeypatch.setattr(f"sqfr.measures.{name}", None)
+        assert evaluate_component(gs, aggregates=given) == expected
+
+    def test_report_computes_each_aggregate_once_per_component(self, monkeypatch):
+        import sqfr.measures
+
+        calls = []
+        for name in ("mean_aggregate", "median_aggregate", "lwm_aggregate"):
+            original = getattr(sqfr.measures, name)
+            monkeypatch.setattr(
+                sqfr.measures, name,
+                lambda gs, name=name, original=original: calls.append(name) or original(gs),
+            )
+        gs = grouped({"A": [1.0, 2.0], "B": [3.0, 5.0]})
+        build_report(Dataset({"q": gs, "r": gs}))
+        assert sorted(calls) == sorted(["mean_aggregate", "median_aggregate", "lwm_aggregate"] * 2)
 
     def test_unknown_measure_rejected(self):
         gs = grouped({"A": [1], "B": [2]})
