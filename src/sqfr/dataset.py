@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ParseError, ValidationError
-from .types import GroupedScores
+from .types import GroupedScores, _ValidatedScores
 
 _FORBIDDEN_LABEL_CHARS = ('"', "\n", "\r")
 
@@ -289,7 +289,9 @@ def _canonical_components(buckets, source: str) -> dict[str, GroupedScores]:
             arr = np.sort(np.asarray(buckets[cid].pop(label), dtype=np.float64))
             arr.flags.writeable = False
             groups[label] = arr
-        grouped = GroupedScores(cid, groups)
+        # handed out as already validated, so that build_report does not
+        # check it again; a component with problems is never handed out
+        grouped = _ValidatedScores(cid, groups)
         problems.extend(grouped.problems())
         components[cid] = grouped
     if problems:
@@ -378,7 +380,7 @@ def dumps_json(data) -> str:
     components = _as_components(data)
     doc = {
         "components": {
-            cid: {label: [float(s) for s in scores] for label, scores in grouped.groups.items()}
+            cid: {label: scores.tolist() for label, scores in grouped.groups.items()}
             for cid, grouped in components.items()
         }
     }

@@ -27,8 +27,21 @@ def count_below(sorted_scores, thresholds) -> np.ndarray:
     Both arrays must be sorted ascending. Strict comparison is the single
     place the discard predicate lives: a threshold equal to the smallest
     score discards nothing.
+
+    The smaller array is binary-searched into the larger one, so the cost
+    is O(m log M) for m = min and M = max of the two sizes, plus one pass
+    over the thresholds when the scores are the fewer.
     """
-    counts = np.searchsorted(_c1d(sorted_scores), _c1d(thresholds), side="left")
+    scores = _c1d(sorted_scores)
+    thresholds = _c1d(thresholds)
+    if scores.size >= thresholds.size:
+        counts = np.searchsorted(scores, thresholds, side="left")
+    else:
+        # j(x) is the index of the first threshold above x, and x < t_k
+        # exactly when j(x) <= k: count[k] is the cumulative count of j
+        above = np.searchsorted(thresholds, scores, side="right")
+        counts = np.bincount(above, minlength=thresholds.size + 1)[:thresholds.size]
+        np.cumsum(counts, out=counts)
     return counts.astype(np.int64, copy=False)  # already int64 where intp is 64-bit
 
 

@@ -103,7 +103,11 @@ class GroupedScores:
 
 
 class _ValidatedScores(GroupedScores):
-    """GroupedScores that passed require_valid; see GroupedScores.validated."""
+    """GroupedScores that passed require_valid; see GroupedScores.validated.
+
+    The loaders hand out their components as this type too, once their own
+    check of the loaded scores has found no problem.
+    """
 
     def require_valid(self) -> None:
         return None

@@ -34,6 +34,8 @@ from sqfr import (
 )
 from sqfr.cli import main
 
+from oracles import gini_literal, mdg_recount
+
 def report_line(name, failures):
     status = "PASS" if not failures else f"FAIL ({len(failures)} issue(s))"
     print(f"[ACCEPTANCE] {name}: {status}")
@@ -138,17 +140,6 @@ def random_grouped(rng, max_groups=5, max_size=30, integers=True):
             scores = rng.uniform(0, 100, size)
         groups[f"g{i}"] = scores
     return GroupedScores("q", groups)
-
-def gini_literal(values):
-    # the defining double loop; 2*n*sum equals the defining 2*n^2*mean
-    # exactly while avoiding early underflow
-    values = list(map(float, values))
-    n = len(values)
-    s = sum(values)
-    if s == 0:
-        return 0.0
-    total = sum(abs(a - b) for a in values for b in values)
-    return (n / (n - 1)) * total / (2 * n * s)
 
 def sweep_gc_scale_invariance(cases):
     rng = np.random.default_rng(101)
@@ -260,18 +251,7 @@ def sweep_mdg_oracle(cases):
         if ts.size == 0:
             continue
         got = mdg(discard_curve(grouped, ts))
-        # brute-force recount of every (group, threshold) pair
-        if i < 25:
-            fractions = [
-                [sum(1 for q in g if q < t) / g.size for t in ts]
-                for g in grouped.groups.values()
-            ]
-            stacked = np.asarray(fractions)
-        else:
-            stacked = np.vstack(
-                [(g[:, None] < ts[None, :]).mean(axis=0) for g in grouped.groups.values()]
-            )
-        want = float(np.mean(stacked.max(axis=0) - stacked.min(axis=0)))
+        want = mdg_recount(grouped, ts)  # brute-force recount of every (group, threshold) pair
         if abs(got - want) > 1e-12 * max(abs(got), abs(want), 1e-300):
             failures.append(f"case {i}: {got!r} vs recount {want!r}")
     return failures

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import sqfr
 from sqfr import GroupedScores, save_csv, save_json
 from sqfr.cli import main
 
@@ -109,9 +110,27 @@ class TestEval:
         assert main(["eval", "--input", str(q2_csv), "--thresholds", "observed"]) == 0
         assert json.loads(capsys.readouterr().out)["metadata"]["thresholds"] == "observed"
 
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_eval_checks_each_component_at_most_twice(self, tmp_path, monkeypatch, capsys, suffix):
+        # once when loading, once in the diagnostics; build_report reuses the load's check
+        path = tmp_path / f"d{suffix}"
+        save = save_csv if suffix == ".csv" else save_json
+        save({cid: singleton_component(cid, [1.0, 2.0, 4.0]) for cid in ("q1", "q2", "q3")}, path)
+        calls = []
+        original = GroupedScores.problems
+        monkeypatch.setattr(
+            GroupedScores, "problems", lambda self: calls.append(self.component_id) or original(self)
+        )
+        assert main(["eval", "--input", str(path)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["components"]) == 3
+        assert sorted(calls) == ["q1", "q1", "q2", "q2", "q3", "q3"]
+
     def test_precision_env_default(self, q2_csv, tmp_path):
         out = tmp_path / "r.csv"
-        env = dict(os.environ, SQFR_PRECISION="1")
+        # the child imports the same sqfr as this process, installed or not
+        src = os.path.dirname(os.path.dirname(sqfr.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, SQFR_PRECISION="1", PYTHONPATH=path)
         subprocess.run(
             [sys.executable, "-m", "sqfr.cli", "eval", "--input", str(q2_csv),
              "--format", "csv", "--out", str(out)],

@@ -2,7 +2,8 @@
 
 The oracles below are the earlier per-score implementations: a
 ``csv.DictReader`` loop that checks and stores one row at a time, a JSON
-loop that checks one value at a time, and a writer that quotes every row.
+loop that checks one value at a time, a CSV writer that quotes every row
+and a JSON writer that converts one score at a time.
 The columnar code must load the same datasets (component and group order,
 float64 bits, frozen arrays, row counts) and raise the same errors and
 lenient warnings, and write the same bytes.
@@ -25,6 +26,7 @@ from sqfr.dataset import (
     Provenance,
     _first_repeat,
     dumps_csv,
+    dumps_json,
     load_csv,
     load_json,
 )
@@ -171,6 +173,16 @@ def oracle_dumps_csv(components):
             for score in scores:
                 writer.writerow([cid, label, repr(float(score))])
     return buf.getvalue()
+
+
+def oracle_dumps_json(components):
+    doc = {
+        "components": {
+            cid: {label: [float(s) for s in scores] for label, scores in grouped.groups.items()}
+            for cid, grouped in components.items()
+        }
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # --- comparison -----------------------------------------------------------
@@ -351,6 +363,20 @@ def test_dumps_csv_matches_across_write_blocks():
     assert dumps_csv(grouped) == oracle_dumps_csv({"q": grouped})
 
 
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+def test_dumps_json_matches_on_scenarios(name):
+    grouped = generate(builtin_scenarios()[name])
+    assert dumps_json(grouped) == oracle_dumps_json({grouped.component_id: grouped})
+
+
+def test_dumps_json_matches_on_extreme_values():
+    comps = {
+        "q": GroupedScores("q", {"A": [1.0, 0.1, 1e308, 5e-324, -0.0, 2.0**53 + 2], "B": []}),
+        "r": GroupedScores("r", {"x,y": np.random.default_rng(5).uniform(0, 100, 1000)}),
+    }
+    assert dumps_json(comps) == oracle_dumps_json(comps)
+
+
 # --- round trip -----------------------------------------------------------
 
 labels = st.text(
@@ -376,6 +402,7 @@ def test_written_and_reloaded_csv_equals_the_oracle_load(tmp_path_factory, doc):
     comps = {cid: GroupedScores(cid, groups) for cid, groups in doc.items()}
     text = dumps_csv(comps)
     assert text == oracle_dumps_csv(comps)
+    assert dumps_json(comps) == oracle_dumps_json(comps)
     path = tmp_path_factory.mktemp("rt") / "d.csv"
     path.write_text(text, encoding="utf-8")
     loaded = assert_csv_parity(path)

@@ -13,22 +13,63 @@ def direct_kde(samples, grid, bandwidth):
     return np.exp(-0.5 * u * u).sum(axis=1) / (samples.size * bandwidth * np.sqrt(2 * np.pi))
 
 
+def direct_count(scores, thresholds):
+    """Per threshold, the defining count of scores strictly below it."""
+    return [int(np.sum(np.asarray(scores) < t)) for t in thresholds]
+
+
 class TestCountBelow:
-    def test_against_direct_count(self):
+    """Both ways of counting: thresholds searched into the scores when the
+    scores are at least as many, scores placed among the thresholds when
+    they are fewer."""
+
+    @pytest.mark.parametrize(
+        "n_scores, n_thresholds",
+        [(50, 25), (25, 25), (25, 50), (3, 400)],
+        ids=["fewer-thresholds", "as-many", "more-thresholds", "far-more-thresholds"],
+    )
+    def test_against_direct_count(self, n_scores, n_thresholds):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            scores = np.sort(rng.integers(0, 60, size=rng.integers(1, 50)).astype(float))
-            thresholds = np.sort(rng.uniform(-5, 65, size=rng.integers(0, 25)))
+            scores = np.sort(rng.integers(0, 60, size=rng.integers(1, n_scores + 1)).astype(float))
+            thresholds = np.sort(rng.uniform(-5, 65, size=rng.integers(0, n_thresholds + 1)))
             got = kernels.count_below(scores, thresholds)
-            want = [int(np.sum(scores < t)) for t in thresholds]
-            assert got.tolist() == want
+            assert got.dtype == np.int64
+            assert got.tolist() == direct_count(scores, thresholds)
+
+    @pytest.mark.parametrize(
+        "scores, thresholds",
+        [
+            ([1.0, 2.0, 2.0, 3.0], [2.0]),  # a threshold equal to repeated scores
+            ([2.0], [1.0, 2.0, 2.0, 3.0]),  # repeated thresholds, one equal to the score
+            ([1.0, 2.0, 3.0], [1.0, 1.0, 2.0, 2.0, 3.0, 3.0]),  # every threshold a score
+            ([1.0, 1.0, 3.0], [0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0]),  # below and above all
+            ([5.0], [-1.0, 0.0, 5.0, 5.0, 6.0, 7.0]),  # a single score
+            ([0.0, 0.0], [0.0, 0.0, 0.0, 1e308]),  # all scores at zero
+            ([1.0, 2.0, 3.0, 4.0], [-1.0, 0.0, 5.0]),  # fewer thresholds, outside the scores
+            ([], [1.0, 2.0]),  # no scores
+        ],
+    )
+    def test_ties_and_edges(self, scores, thresholds):
+        got = kernels.count_below(np.array(scores), np.array(thresholds))
+        assert got.dtype == np.int64
+        assert got.tolist() == direct_count(scores, thresholds)
 
     def test_strictness(self):
         scores = np.array([1.0, 2.0, 2.0, 3.0])
         assert kernels.count_below(scores, np.array([2.0])).tolist() == [1]
+        assert kernels.count_below(np.array([2.0]), scores).tolist() == [0, 0, 0, 1]
 
     def test_empty_thresholds(self):
-        assert kernels.count_below(np.array([1.0]), np.empty(0)).size == 0
+        got = kernels.count_below(np.array([1.0]), np.empty(0))
+        assert got.size == 0 and got.dtype == np.int64
+
+    def test_accepts_readonly_inputs(self):
+        scores, thresholds = np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.5, 2.0, 2.5, 3.5])
+        scores.flags.writeable = False
+        thresholds.flags.writeable = False
+        assert kernels.count_below(scores, thresholds).tolist() == [0, 1, 1, 2, 3]
+        assert kernels.count_below(thresholds, scores).tolist() == [1, 2, 4]
 
 
 class TestLowWeightSums:

@@ -19,9 +19,12 @@ from sqfr import (
     mdg,
     mean_aggregate,
     median_aggregate,
+    observed_thresholds,
     relevant_thresholds,
     sqfr,
 )
+
+from oracles import discard_recount, gini_literal, mdg_recount
 
 # zero or comfortably normal floats: scaling by c in [1e-3, 1e3] must not
 # underflow the inputs themselves
@@ -54,33 +57,6 @@ def grouped_strategy(max_groups=5, max_size=30, integers=False):
     return st.lists(group, min_size=2, max_size=max_groups).map(
         lambda gs: GroupedScores("q", {f"g{i}": g for i, g in enumerate(gs)})
     )
-
-
-def gini_literal(values):
-    """The defining double loop over all ordered pairs, self-pairs included.
-
-    Normalized by 2*n*sum, which equals the defining 2*n^2*mean exactly but
-    avoids the subnormal underflow of computing the mean first.
-    """
-    values = list(map(float, values))
-    n = len(values)
-    s = sum(values)
-    if s == 0:
-        return 0.0
-    total = sum(abs(a - b) for a in values for b in values)
-    return (n / (n - 1)) * total / (2 * n * s)
-
-
-def mdg_recount(grouped, thresholds):
-    """Direct recount of the discard gap over every (group, threshold) pair."""
-    gaps = []
-    for t in thresholds:
-        fractions = [
-            sum(1 for q in scores if q < t) / len(scores)
-            for scores in grouped.groups.values()
-        ]
-        gaps.append(max(fractions) - min(fractions))
-    return sum(gaps) / len(gaps)
 
 
 class TestGiniProperties:
@@ -239,6 +215,19 @@ class TestDiscardProperties:
         assume(ts.size > 0)
         got = mdg(discard_curve(grouped, ts))
         assert got == pytest.approx(mdg_recount(grouped, ts), rel=1e-12, abs=1e-15)
+
+    @given(st.one_of(grouped_strategy(max_groups=4), grouped_strategy(max_groups=4, integers=True)))
+    @example(GroupedScores("q", {"A": [3.0], "B": [1.0, 2.0, 3.0, 3.0, 5.0], "C": [0.5, 3.0]}))
+    @settings(max_examples=300, deadline=None)
+    def test_observed_fractions_equal_recount(self, grouped):
+        # one threshold per distinct pooled score: groups smaller than the
+        # sweep are counted by placing their scores among the thresholds
+        ts = observed_thresholds(grouped)
+        assume(ts.size > 0)
+        curve = discard_curve(grouped, ts)
+        want = discard_recount(grouped, ts)
+        assert [fr.tolist() for fr in curve.fractions.values()] == want.tolist()
+        assert mdg(curve) == pytest.approx(mdg_recount(grouped, ts), rel=1e-12, abs=1e-15)
 
     @given(grouped_strategy(max_groups=2, integers=True))
     @settings(max_examples=150, deadline=None)
