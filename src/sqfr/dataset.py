@@ -11,9 +11,10 @@ Two interchangeable on-disk formats:
   Diagnostics carry the JSON path of the offending element.
 
 Loaders canonicalize: components and group labels are ordered
-lexicographically and scores within a group ascending, so a dataset's
-downstream reports do not depend on input row order. Score arrays are
-frozen after loading and safe to share across threads.
+lexicographically, and each component is in the canonical form of
+``GroupedScores.validated`` (checked, each group ascending and read-only),
+so reports do not depend on input row order, no measure checks a loaded
+component again, and score arrays are safe to share across threads.
 
 I/O is columnar: scores go into one typed buffer or array per
 (component, group), not a list of Python floats. ``load_csv`` checks each
@@ -274,26 +275,21 @@ def _first_repeat(node, where: str, repeated: dict):
 
 
 def _canonical_components(buckets, source: str) -> dict[str, GroupedScores]:
-    """Sorted, frozen float64 arrays from per-(component, group) score buffers.
+    """Components in canonical form from per-(component, group) score buffers.
 
-    Each buffer is removed from ``buckets`` as its array is made, so the two
-    never hold the whole dataset at once.
+    Each component's buffers are removed from ``buckets`` as it is made, so
+    the two never hold the whole dataset at once.
     """
     if not buckets:
         raise ValidationError(f"{source}: dataset contains no score records")
     components: dict[str, GroupedScores] = {}
     problems: list[str] = []
     for cid in sorted(buckets):
-        groups = {}
-        for label in sorted(buckets[cid]):
-            arr = np.sort(np.asarray(buckets[cid].pop(label), dtype=np.float64))
-            arr.flags.writeable = False
-            groups[label] = arr
-        # handed out as already validated, so that build_report does not
-        # check it again; a component with problems is never handed out
-        grouped = _ValidatedScores(cid, groups)
-        problems.extend(grouped.problems())
-        components[cid] = grouped
+        groups = buckets.pop(cid)
+        loaded = GroupedScores(cid, {label: groups[label] for label in sorted(groups)})
+        problems.extend(loaded.problems())
+        # a component with problems is never handed out
+        components[cid] = _ValidatedScores(cid, loaded.groups)
     if problems:
         raise ValidationError("; ".join(problems))
     return components
@@ -325,21 +321,21 @@ def validate(dataset: Dataset) -> list[Diagnostic]:
                     where,
                 )
             )
-        pooled = grouped.union()
-        if pooled.min() == pooled.max():
+        lo, hi = grouped.validated().pooled_range()
+        if lo == hi:
             out.append(
                 Diagnostic(
                     "warning",
-                    f"all scores equal ({pooled[0]:g}); every measure is trivially 1",
+                    f"all scores equal ({lo:g}); every measure is trivially 1",
                     where,
                 )
             )
-        if pooled.min() < 0 or pooled.max() > 100:
+        if hi > 100:
             out.append(
                 Diagnostic(
                     "warning",
                     f"scores outside the conventional [0, 100] scale "
-                    f"(min {pooled.min():g}, max {pooled.max():g})",
+                    f"(min {lo:g}, max {hi:g})",
                     where,
                 )
             )

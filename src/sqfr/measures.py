@@ -42,31 +42,24 @@ MAX_THRESHOLDS = 10_000_000
 
 def mean_aggregate(scores: GroupedScores) -> GroupAggregates:
     """Arithmetic mean of each group's scores."""
-    scores.require_valid()
+    scores = scores.validated()
     values = {label: _scale_free(np.mean, g) for label, g in scores.groups.items()}
     return GroupAggregates("mean", values)
 
 
 def median_aggregate(scores: GroupedScores) -> GroupAggregates:
     """Median of each group's scores (even counts: mean of the middle two)."""
-    scores.require_valid()
+    scores = scores.validated()
     values = {label: _scale_free(_median, g) for label, g in scores.groups.items()}
     return GroupAggregates("median", values)
 
 
 def _median(g: np.ndarray) -> float:
-    """``np.median(g)``, read off directly when ``g`` is already ascending."""
-    if not _ascending(g):
-        return np.median(g)
+    """The median of an ascending group, read off its middle."""
     mid = g.size // 2
     if g.size % 2:
         return g[mid]
-    return np.mean(g[mid - 1:mid + 1])  # the same rounding as np.median
-
-
-def _ascending(g: np.ndarray) -> bool:
-    """Whether ``g`` is sorted ascending, as loaded datasets are."""
-    return not np.any(g[1:] < g[:-1])
+    return np.mean(g[mid - 1:mid + 1])  # numpy's median rounds the same way
 
 
 def _scale_free(stat, g: np.ndarray) -> float:
@@ -94,9 +87,8 @@ def lwm_aggregate(scores: GroupedScores) -> GroupAggregates:
     score, and a group whose scores all sit at the pooled maximum (weight
     sum zero) aggregates to that maximum.
     """
-    scores.require_valid()
-    pooled = scores.union()
-    lo, hi = float(pooled.min()), float(pooled.max())
+    scores = scores.validated()
+    lo, hi = scores.pooled_range()
     values: dict[str, float] = {}
     for label, g in scores.groups.items():
         if hi == lo:
@@ -181,9 +173,8 @@ def relevant_thresholds(scores: GroupedScores, step: float = 1.0) -> np.ndarray:
     """
     if step <= 0:
         raise DomainError(f"threshold step must be positive, got {step}")
-    scores.require_valid()
-    pooled = scores.union()
-    lo, hi = float(pooled.min()), float(pooled.max())
+    scores = scores.validated()
+    lo, hi = scores.pooled_range()
     span = hi - lo
     if span <= 0:
         return np.empty(0, dtype=np.float64)
@@ -208,22 +199,20 @@ def observed_thresholds(scores: GroupedScores) -> np.ndarray:
     like the default sweep it excludes the pooled minimum (zero-distance
     discard) and ends at the pooled maximum.
     """
-    scores.require_valid()
+    scores = scores.validated()
     pooled = np.unique(scores.union())
-    return pooled[1:].astype(np.float64)
+    return pooled[1:]
 
 
 def discard_curve(scores: GroupedScores, thresholds) -> DiscardCurve:
     """Fraction of each group's samples strictly below each threshold."""
-    scores.require_valid()
+    scores = scores.validated()
     thresholds = np.asarray(thresholds, dtype=np.float64).reshape(-1)
     if thresholds.size > 1 and np.any(np.diff(thresholds) < 0):
         raise DomainError("thresholds must be sorted ascending")
-    fractions = {}
-    for label, g in scores.groups.items():
-        if not _ascending(g):
-            g = np.sort(g)
-        fractions[label] = kernels.count_below(g, thresholds) / g.size
+    fractions = {
+        label: kernels.count_below(g, thresholds) / g.size for label, g in scores.groups.items()
+    }
     return DiscardCurve(thresholds, fractions)
 
 
@@ -256,6 +245,7 @@ def mdg_sqfr(
     An empty sweep (all pooled scores equal) means no threshold can
     separate the groups, which is perfect fairness: 1.0.
     """
+    scores = scores.validated()
     ts = _thresholds_for(scores, step, thresholds_mode)
     if ts.size == 0:
         return FairnessScore("mdg_sqfr", 1.0)

@@ -38,6 +38,7 @@ class GroupedScores:
     afterwards. Valid collections have at least two groups, at least one
     score per group, and only finite non-negative scores; use
     :meth:`problems` / :meth:`require_valid` to check.
+    The measures read them in the canonical form :meth:`validated` returns.
     """
 
     component_id: str
@@ -73,12 +74,14 @@ class GroupedScores:
         if problems:
             raise ValidationError("; ".join(problems))
 
-    def validated(self) -> GroupedScores:
-        """These scores after one :meth:`require_valid`, as a collection whose
-        own ``require_valid`` is free.
+    def validated(self) -> _ValidatedScores:
+        """These scores in canonical form: checked once, each group ascending
+        and read-only, so no result depends on the order of a group's scores.
 
-        A caller that hands one collection to several measures checks it
-        once this way instead of once per measure.
+        A canonical collection, such as a loaded component, comes back as
+        itself. Any other gets one :meth:`require_valid`; then an ascending
+        group is kept as a read-only view and any other is sorted into a
+        read-only copy. The caller's arrays are never sorted or frozen.
         """
         if isinstance(self, _ValidatedScores):
             return self
@@ -103,14 +106,24 @@ class GroupedScores:
 
 
 class _ValidatedScores(GroupedScores):
-    """GroupedScores that passed require_valid; see GroupedScores.validated.
+    """GroupedScores in canonical form, made only from checked scores (by
+    ``validated`` and the loaders); see GroupedScores.validated."""
 
-    The loaders hand out their components as this type too, once their own
-    check of the loaded scores has found no problem.
-    """
+    def __post_init__(self):
+        self.groups = {label: _canonical(scores) for label, scores in self.groups.items()}
 
-    def require_valid(self) -> None:
-        return None
+    def pooled_range(self) -> tuple[float, float]:
+        """(min, max) of all scores, read from the group ends."""
+        groups = self.groups.values()
+        return min(float(g[0]) for g in groups), max(float(g[-1]) for g in groups)
+
+
+def _canonical(scores) -> np.ndarray:
+    """One group as a read-only float64 array: a view if ascending, else a sorted copy."""
+    g = np.asarray(scores, dtype=np.float64).reshape(-1)
+    g = np.sort(g) if np.any(g[1:] < g[:-1]) else g.view()
+    g.flags.writeable = False
+    return g
 
 
 @dataclass
@@ -149,9 +162,6 @@ class DiscardCurve:
 
     thresholds: np.ndarray
     fractions: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def group_labels(self) -> list[str]:
-        return list(self.fractions)
 
 
 def as_value_array(values: GroupAggregates | Mapping[str, float] | Iterable[float]) -> np.ndarray:

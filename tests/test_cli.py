@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, output discipline, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -237,3 +238,107 @@ class TestDeterminism:
             reports.append(report.read_text().replace(str(data), "DATA"))
         capsys.readouterr()
         assert reports[0] == reports[1]
+
+
+#: sha256 of each CLI output for the builtin scenarios: refactors must keep
+#: every byte. Every eval reads ``<scenario>.csv`` from the working
+#: directory, so the input path in the report metadata is the same on every
+#: machine.
+GOLDEN_DIGESTS = {
+    "all-equal": {
+        "simulate.csv": "43cdfb5b872608dc902ec569ec08a624f4d96ecaf7301b94952c941b958d8801",
+        "simulate.json": "ba981b732c08e52dc8cc0a5f73ac64ab0711cf7425a9c2a23984435fe8e4a827",
+        "eval.json.sequence": "166145be805384c6e377849b02f1d7004420f947dfb01ed5071850a6d3c8ee26",
+        "eval.json.observed": "6aad29791bb5ccf31af5eb0705ee812d9f75c10adcc04e3e85338a8497073783",
+        "eval.csv.sequence": "8c6c207a083cabe39711fca5486c60514e740ea67b0939c9f3d655c4d208a9ac",
+        "eval.csv.observed": "8c6c207a083cabe39711fca5486c60514e740ea67b0939c9f3d655c4d208a9ac",
+        "eval.markdown.sequence": "180100aacb17a3bee5b0ce392b82b3f0941a90a0cd64390426df5797852025fd",
+        "eval.markdown.observed": "7b66465269077adff47e937886fe1182e683959927201ae7600c5212243fbe71",
+        "plotdata": "9978d0b319c2b930c863cd19c87ef876e60edade0ce6f636baeaad271e025b9a",
+        "stderr": "a14cd470e60264c94855fe67bb5a4ed441b7f8a7c2d04472e3b79e97f14be70e",
+    },
+    "q1": {
+        "simulate.csv": "5d33e8836ecc23f108380c7e52394381b51c8099f09cec24e1629acd09ee5c34",
+        "simulate.json": "f2966b222a74821383a27fedd66a63aeb11e7258d47974bb789323f656d81b7f",
+        "eval.json.sequence": "e79691f30053b9bb11a495b656f875791fb8d16df11cb85c0723aa3d5c10a6c2",
+        "eval.json.observed": "d8177b63dc0b35fe010cd4154fb60b7c8259d4378b542a02255ba83ffa0532ae",
+        "eval.csv.sequence": "39dfcaadbb5928e3783a2b04290cf602074f9b96d36cc81892660fbd56dfb667",
+        "eval.csv.observed": "39dfcaadbb5928e3783a2b04290cf602074f9b96d36cc81892660fbd56dfb667",
+        "eval.markdown.sequence": "72803e57cb65c17a109e0c2f8f8b72905d6de6bcdfba28924f53e101d9c7ebbc",
+        "eval.markdown.observed": "92cf6c96e97fe426c186c5eff9c21371a5978cb3853fd3a3ee9aa86334036a1a",
+        "plotdata": "baf6dc1eddd4a78c5b74b4707f363ab22376dc380a23acd807795a5036a2b460",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "q2": {
+        "simulate.csv": "8e54e08e84361570195c3c28cf8ee1b8b1a24c593be5fb8ce5ed08942aba84d5",
+        "simulate.json": "2571b740e5c6b2ba194dcc71fbf037eb4f2ebff3a7397255b6251a3ae53522c9",
+        "eval.json.sequence": "0ef99fa6ec93bdf26ce99275a13b9fc700471bf8ac8a3548513b1558a57d5024",
+        "eval.json.observed": "f6fd5d147a364a638bac8394c6ae67823173c9659a2cf2e7ed8282e7d8f1ff99",
+        "eval.csv.sequence": "2b1e9d2963a3971db42fef7aea997172242c62f532c8d460c7bbc1fa13d72e94",
+        "eval.csv.observed": "2b1e9d2963a3971db42fef7aea997172242c62f532c8d460c7bbc1fa13d72e94",
+        "eval.markdown.sequence": "04a688088ec0a9c02ac50141305b19f21ff10a0de79778f996cb08c713ac89c4",
+        "eval.markdown.observed": "ccca34b047905c00633c42c7d64d2c51b7833fbb25c70465a0facb3d99eae4f9",
+        "plotdata": "33ed43ac75299f318f85b39f237ae83e0f27de227d0d7c2e0cfa6e71cd1eade8",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "q3": {
+        "simulate.csv": "0fe640ee1e197553c5c2dc9dde5c0479366524147776996c0cd71a8aa0fee8fa",
+        "simulate.json": "dbf08f00602ab2b937073b7a9fc9643978e0a6d25905075a8d84c75462b94768",
+        "eval.json.sequence": "285617d1ff5a0f7d4eabb575bab7dfc814b73bfd3e0cb517256e30ef2755a9a0",
+        "eval.json.observed": "ae0e0bee9a071580389297985d962ca450b906a7aeab8a6ba03ead210e040685",
+        "eval.csv.sequence": "fd676e36e831a7b8493c3d1dfb72b2273faf9159b5937807a32375fcd795958b",
+        "eval.csv.observed": "fd676e36e831a7b8493c3d1dfb72b2273faf9159b5937807a32375fcd795958b",
+        "eval.markdown.sequence": "7c5faa5e95a6bb63f9799c356450119ac5d2c451fab98922e4fef241a1954793",
+        "eval.markdown.observed": "4f16d5af894398445e67e721e2a27d687a06dc8be25c3b00f161029356dad356",
+        "plotdata": "28b0e42cf2e22b0f122478dad00379737ffbbabb9cabf56963fa50a8ddc65c3b",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "q5": {
+        "simulate.csv": "fd51f7df0a76bdaca5ad325050db5d0b5a551c3d83a8aa26ce34e8429e070db4",
+        "simulate.json": "ae45b9a480dc8fa4597c849e98b2f8bda9f6e63c409e184e43d06935525e86ad",
+        "eval.json.sequence": "d238b6db619b33afaa25960f9fd87d399a5c7f52b60a197fc8ba32a3398cda06",
+        "eval.json.observed": "11bd24d055120e76711985a03d9696db3e26f327b5dc12a527055fb9c5a6cc9b",
+        "eval.csv.sequence": "861dfcc0a1f7985b74bd52dd380514e98c9280e1cf8a719149ed820eb40c10e0",
+        "eval.csv.observed": "861dfcc0a1f7985b74bd52dd380514e98c9280e1cf8a719149ed820eb40c10e0",
+        "eval.markdown.sequence": "46fb0ae9638a423c50f2595833c6edfb6e248658a25f83701e8fe2649d062b5a",
+        "eval.markdown.observed": "8c3aef736bd7c80eca63b4fcc398225c52a0d7caa254115a87125f76aaaae55b",
+        "plotdata": "54f2243849747907794e0348ef0d2f293538ee29465bfe0fc02bd54bf667805b",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+}
+
+
+def cli_output_digests(name, capsys):
+    """Output name -> sha256 for one builtin scenario simulated and evaluated.
+
+    ``stderr`` is the digest of the diagnostics of every eval and plotdata
+    run, in run order.
+    """
+    digests = {}
+    for fmt in ("csv", "json"):
+        assert main(["simulate", "--scenario", name, "--out", f"{name}.{fmt}"]) == 0
+        with open(f"{name}.{fmt}", "rb") as fh:
+            digests[f"simulate.{fmt}"] = hashlib.sha256(fh.read()).hexdigest()
+    capsys.readouterr()
+    runs = {
+        f"eval.{fmt}.{mode}": ["eval", "--format", fmt, "--thresholds", mode,
+                               "--precision", "17"]
+        for fmt in ("json", "csv", "markdown")
+        for mode in ("sequence", "observed")
+    }
+    runs["plotdata"] = ["plotdata"]
+    stderr = []
+    for key, argv in runs.items():
+        assert main(argv + ["--input", f"{name}.csv"]) == 0
+        captured = capsys.readouterr()
+        digests[key] = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+        stderr.append(captured.err)
+    digests["stderr"] = hashlib.sha256("".join(stderr).encode("utf-8")).hexdigest()
+    return digests
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("name", sorted(sqfr.builtin_scenarios()))
+    def test_outputs_match_recorded_digests(self, name, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli_output_digests(name, capsys) == GOLDEN_DIGESTS[name]

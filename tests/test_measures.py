@@ -25,7 +25,7 @@ from sqfr import (
     relevant_thresholds,
     sqfr,
 )
-from sqfr.dataset import Dataset
+from sqfr.dataset import Dataset, load_csv, load_json, save_csv, save_json
 from sqfr.report import build_report
 from sqfr.types import DiscardCurve
 
@@ -126,6 +126,42 @@ class TestValidation:
         gs = grouped({"A": [1.0, 2.0], "B": [3.0, 5.0]})
         build_report(Dataset({"q": gs}))
         assert len(calls) == 1
+
+
+class TestCanonicalForm:
+    """``GroupedScores.validated`` is the one gate to the measures."""
+
+    def test_groups_come_back_ascending_and_read_only(self):
+        canonical = grouped({"A": [3.0, 1.0, 2.0], "B": [4.0, 5.0]}).validated()
+        assert {l: g.tolist() for l, g in canonical.groups.items()} == {
+            "A": [1.0, 2.0, 3.0], "B": [4.0, 5.0]}
+        assert not any(g.flags.writeable for g in canonical.groups.values())
+        assert canonical.pooled_range() == (1.0, 5.0)
+
+    def test_canonical_input_comes_back_as_itself(self):
+        canonical = grouped({"A": [3.0, 1.0], "B": [2.0]}).validated()
+        assert canonical.validated() is canonical
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_loaded_components_are_canonical(self, tmp_path, suffix):
+        path = tmp_path / f"d{suffix}"
+        save = save_csv if suffix == ".csv" else save_json
+        save({"q1": grouped({"A": [3.0, 1.0, 2.0], "B": [1.0, 2.0]}, "q1"),
+              "q2": grouped({"A": [5.0], "B": [9.0, 0.5]}, "q2")}, path)
+        ds = (load_csv if suffix == ".csv" else load_json)(path)
+        for component in ds.components.values():
+            assert component.validated() is component
+
+    def test_callers_arrays_keep_their_order_and_flag(self):
+        unsorted, ascending = np.array([3.0, 1.0, 2.0]), np.array([1.0, 4.0])
+        gs = grouped({"A": unsorted, "B": ascending})
+        canonical = gs.validated()
+        evaluate_component(gs)
+        assert unsorted.tolist() == [3.0, 1.0, 2.0] and unsorted.flags.writeable
+        assert ascending.flags.writeable
+        assert gs.groups["A"].tolist() == [3.0, 1.0, 2.0] and gs.groups["A"].flags.writeable
+        # an ascending group is shared, not copied
+        assert np.shares_memory(canonical.groups["B"], ascending)
 
 
 class TestLwm:

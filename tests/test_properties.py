@@ -198,6 +198,40 @@ class TestMeasureProperties:
                 assert g.min() - 1e-9 <= value <= g.max() + 1e-9
 
 
+class TestScoreOrderIndependence:
+    """The measures see each group as a multiset: the order of its scores is
+    never an input, down to the last bit."""
+
+    @given(grouped_strategy(), st.randoms(use_true_random=False))
+    @example(GroupedScores("q", {"A": [0.3, 0.1, 0.2], "B": [5.0]}), None)
+    @example(GroupedScores("q", {"A": [1.7, 81.3, 91.3], "B": [5.0]}), None)
+    @settings(max_examples=150, deadline=None)
+    def test_shuffled_groups_give_identical_results(self, grouped, rnd):
+        shuffled = {}
+        for label, g in grouped.groups.items():
+            order = list(range(g.size))
+            if rnd is None:
+                order.reverse()
+            else:
+                rnd.shuffle(order)
+            shuffled[label] = g[order]
+        ascending = GroupedScores("q", {label: np.sort(g) for label, g in grouped.groups.items()})
+        shuffled = GroupedScores("q", shuffled)
+
+        def bits(gs):
+            out = {
+                (agg.__name__, label): value.hex()
+                for agg in (mean_aggregate, median_aggregate, lwm_aggregate)
+                for label, value in agg(gs).values.items()
+            }
+            for mode in ("sequence", "observed"):
+                for score in evaluate_component(gs, thresholds_mode=mode):
+                    out[mode, score.measure] = score.value.hex()
+            return out
+
+        assert bits(shuffled) == bits(ascending)
+
+
 class TestDiscardProperties:
     @given(grouped_strategy(integers=True))
     @settings(max_examples=150, deadline=None)

@@ -12,6 +12,7 @@ import pytest
 from sqfr import (
     ConfigError,
     GroupSpec,
+    GroupedScores,
     ScenarioSpec,
     builtin_fixtures,
     builtin_scenarios,
@@ -91,6 +92,17 @@ class TestGenerate:
         a = generate(spec).groups["A"]
         assert np.sum(a < 40) > 200 and np.sum(a > 60) > 200
         assert np.sum((a > 40) & (a < 60)) < 20
+
+    def test_evaluating_leaves_the_samples_unchanged(self):
+        out = generate(builtin_scenarios()["q3"])
+        drawn = {label: g.copy() for label, g in out.groups.items()}
+        assert any(np.any(np.diff(g) < 0) for g in drawn.values())  # stream order
+        evaluate_component(out, thresholds_mode="observed")
+        mean_aggregate(out)
+        lwm_aggregate(out)
+        assert out == GroupedScores(out.component_id, drawn)
+        assert all(g.flags.writeable for g in out.groups.values())
+        assert out == generate(builtin_scenarios()["q3"])
 
     def test_pinned_q1_mean(self):
         out = generate(builtin_scenarios()["q1"])
