@@ -17,13 +17,24 @@ so reports do not depend on input row order, no measure checks a loaded
 component again, and score arrays are safe to share across threads.
 
 I/O is columnar: scores go into one typed buffer or array per
-(component, group), not a list of Python floats. ``load_csv`` checks each
-row inline (field count, a score in [0, float max], labels once per new
-(component, group)); ``load_json`` converts and checks each group's list
-as one array. Only input that fails those cheap checks is checked again,
-row by row or element by element, by the full check, which produces
-every diagnostic and cites its row or JSON path. ``dumps_csv`` quotes the
-labels once per group and formats the scores in blocks.
+(component, group), not a list of Python floats. Quality scores are
+conventionally integers in 0-100, so a CSV file usually holds a few
+thousand distinct lines however many rows it has. ``load_csv`` therefore
+counts the distinct lines after the header (in C, with ``Counter``),
+checks each distinct line once, and expands each group's sorted distinct
+scores by their counts into an array that is already ascending. It reads
+the file again from line 1, row by row, when over half of the lines read
+are distinct (checked every 2**16 lines, which bounds the memory the count
+takes), when any line holds a ``"`` (a quoted field can span lines), or
+when any distinct line fails its check or scores -0; so every CSV
+diagnostic comes from the row-by-row reading. Either way a row or line is
+checked inline (field count, a score in [0, float max], labels once per
+new (component, group)); ``load_json`` converts and checks each group's
+list as one array. Only input that fails those cheap checks is checked
+again, row by row or element by element, by the full check, which
+produces every diagnostic and cites its row or JSON path. ``dumps_csv``
+and ``dumps_json`` quote the labels once per group and format the scores
+in blocks.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +65,9 @@ _FLOAT_MAX = sys.float_info.max
 #: Rows of one group that dumps_csv formats with one string join; bounds
 #: the Python floats and strings alive at once.
 _WRITE_BLOCK = 65536
+
+#: Lines load_csv counts between checks that most of them repeat.
+_COUNT_BLOCK = 1 << 16
 
 #: Characters per write in save_csv and save_json.
 _SAVE_CHUNK = 1 << 20
@@ -101,64 +116,163 @@ def load_csv(
     row number; in lenient mode malformed rows are skipped and recorded as
     warnings in the provenance. Silent data loss can corrupt fairness
     conclusions, hence the strict default. ``sample_col`` is not read; it
-    is named only so that a header repeating it is rejected.
+    is named only so that a header repeating it is rejected. A file that is
+    not UTF-8, or a row the CSV reader cannot split (a field over
+    ``csv.field_size_limit()``), is a ParseError in either mode.
+
+    The rows after the header are first counted as distinct lines (see
+    ``_counted_buckets``), and each distinct line is parsed once. The file
+    is read again row by row, from line 1, when that count shows mostly
+    distinct lines, when a line holds a ``"`` (a quoted field can span
+    lines), or when a distinct line fails its check or scores -0. So every
+    diagnostic, row number and row count is that of the row-by-row reading.
     """
     path = Path(path)
     warnings: list[Diagnostic] = []
+    try:
+        # utf-8-sig: tolerate the BOM spreadsheet exports tend to prepend
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            columns = _read_header(reader, path, group_col, component_col, score_col, sample_col)
+            counted = _counted_buckets(fh, columns)
+            if counted is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                buckets, rows = _read_rows(reader, columns, strict, warnings)
+            else:
+                buckets, rows = counted
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: {_utf8_error(path)}") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: row {reader.line_num}: malformed CSV: {exc}") from None
+    components = _canonical_components(buckets, str(path))
+    return Dataset(components, Provenance(str(path), rows, warnings))
+
+
+def _read_header(reader, path: Path, group_col, component_col, score_col, sample_col):
+    """(name, index) of the group, component and score columns of the header row."""
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"{path}: empty file, expected a header row")
+    missing = [c for c in (group_col, component_col, score_col) if c not in header]
+    if missing:
+        raise ConfigError(
+            f"{path}: missing required column(s) {', '.join(map(repr, missing))};"
+            f" found {header}"
+        )
+    repeated = sorted(
+        {c for c in (group_col, component_col, score_col, sample_col) if header.count(c) > 1}
+    )
+    if repeated:
+        raise ConfigError(
+            f"{path}: column(s) {', '.join(map(repr, repeated))} appear more than once"
+            f" in the header; found {header}"
+        )
+    return tuple((c, header.index(c)) for c in (group_col, component_col, score_col))
+
+
+def _counted_buckets(fh, columns):
+    """(score arrays by component and group, row count) from the distinct
+    lines left in ``fh`` and how often each occurs; None when the file must
+    be read row by row instead.
+
+    Lines are counted in blocks, and counting stops once over half of the
+    lines read are distinct, so memory stays bounded on data with few
+    repeats. Every distinct line must be one complete record (no ``"``)
+    that passes ``_parse_row``. A -0 score also gives up, as the scores
+    are counted in a dict, where -0 and 0 are one key. The arrays come out
+    ascending, each distinct score repeated as often as it occurs.
+    """
+    counts: Counter[str] = Counter()
+    read = 0
+    while True:
+        # update() from the iterator keeps only new lines alive, not a block of them
+        counts.update(islice(fh, _COUNT_BLOCK))
+        before, read = read, counts.total()
+        if 2 * len(counts) > read:
+            return None
+        if read - before < _COUNT_BLOCK:  # the end of the file
+            break
+    if any('"' in line for line in counts):
+        return None
+    # each distinct line checked as _read_rows checks a row
+    (_, gi), (_, ci), (_, si) = columns
+    scores: dict[tuple[str, str], dict[float, int]] = {}
+    rows = 0
+    try:
+        # one record per line, as no line holds a quote
+        for record, n in zip(csv.reader(counts), counts.values()):
+            if not record:  # a blank line
+                continue
+            try:
+                group = scores[record[ci], record[gi]]
+                score = float(record[si])
+            except (IndexError, KeyError, ValueError):
+                try:
+                    score = _parse_row(record, 0, columns)
+                except ParseError:
+                    return None
+                group = scores.setdefault((record[ci], record[gi]), {})
+            if not 0.0 <= score <= _FLOAT_MAX or math.copysign(1.0, score) < 0.0:
+                return None  # nan, inf, a negative score or -0
+            rows += n
+            group[score] = group.get(score, 0) + n
+    except csv.Error:
+        return None
+    buckets: dict[str, dict[str, np.ndarray]] = {}
+    for (cid, label), group in scores.items():
+        values = np.fromiter(group, np.float64, len(group))
+        repeats = np.fromiter(group.values(), np.int64, len(group))
+        order = np.argsort(values)
+        buckets.setdefault(cid, {})[label] = np.repeat(values[order], repeats[order])
+    return buckets, rows
+
+
+def _read_rows(reader, columns, strict: bool, warnings: list[Diagnostic]):
+    """(score buffers by component and group, row count), one row at a time."""
+    (_, gi), (_, ci), (_, si) = columns
     buffers: dict[tuple[str, str], array] = {}
     rows = 0
-    # utf-8-sig: tolerate the BOM spreadsheet exports tend to prepend
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file, expected a header row")
-        missing = [c for c in (group_col, component_col, score_col) if c not in header]
-        if missing:
-            raise ConfigError(
-                f"{path}: missing required column(s) {', '.join(map(repr, missing))};"
-                f" found {header}"
-            )
-        repeated = sorted(
-            {c for c in (group_col, component_col, score_col, sample_col)
-             if header.count(c) > 1}
-        )
-        if repeated:
-            raise ConfigError(
-                f"{path}: column(s) {', '.join(map(repr, repeated))} appear more than once"
-                f" in the header; found {header}"
-            )
-        columns = tuple((c, header.index(c)) for c in (group_col, component_col, score_col))
-        (_, gi), (_, ci), (_, si) = columns
-        for row in reader:
-            if not row:  # a blank line
+    for row in reader:
+        if not row:  # a blank line
+            continue
+        rows += 1
+        try:
+            buf = buffers[row[ci], row[gi]]
+            score = float(row[si])
+        except (IndexError, KeyError, ValueError):
+            pass
+        else:
+            if 0.0 <= score <= _FLOAT_MAX:  # false for nan, inf and negatives
+                buf.append(score)
                 continue
-            rows += 1
-            try:
-                buf = buffers[row[ci], row[gi]]
-                score = float(row[si])
-            except (IndexError, KeyError, ValueError):
-                pass
-            else:
-                if 0.0 <= score <= _FLOAT_MAX:  # false for nan, inf and negatives
-                    buf.append(score)
-                    continue
-            # the first row of a (component, group), or a faulty one
-            line = reader.line_num
-            try:
-                score = _parse_row(row, line, columns)
-            except ParseError as exc:
-                if strict:
-                    raise
-                warnings.append(Diagnostic("warning", f"skipped row: {exc}", f"row {line}"))
-                continue
-            buffers.setdefault((row[ci], row[gi]), array("d")).append(score)
+        # the first row of a (component, group), or a faulty one
+        line = reader.line_num
+        try:
+            score = _parse_row(row, line, columns)
+        except ParseError as exc:
+            if strict:
+                raise
+            warnings.append(Diagnostic("warning", f"skipped row: {exc}", f"row {line}"))
+            continue
+        buffers.setdefault((row[ci], row[gi]), array("d")).append(score)
     buckets: dict[str, dict[str, array]] = {}
     for (cid, label), buf in buffers.items():
         buckets.setdefault(cid, {})[label] = buf
-    del buffers
-    components = _canonical_components(buckets, str(path))
-    return Dataset(components, Provenance(str(path), rows, warnings))
+    return buckets, rows
+
+
+def _utf8_error(path: Path) -> str:
+    """The row and byte offset of the first byte of ``path`` that is not UTF-8."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return f"row {line}: invalid UTF-8 at byte {exc.start}"
+    return "invalid UTF-8"  # the file changed since it was read
 
 
 def _parse_row(row: list[str], line: int, columns) -> float:
@@ -204,6 +318,8 @@ def load_json(path) -> Dataset:
             doc = json.load(fh, object_pairs_hook=keep_repeats)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:  # the whole file is decoded at once
+            raise ParseError(f"{path}: invalid UTF-8 at byte {exc.start}") from None
     if repeated:
         where, key = _first_repeat(doc, "", repeated)
         raise ParseError(f"{path}: {where or '$'}: duplicate key {key!r}")
@@ -372,15 +488,29 @@ def dumps_csv(data) -> str:
 
 
 def dumps_json(data) -> str:
-    """Serialize components to the JSON dataset schema."""
+    """Serialize components to the JSON dataset schema.
+
+    The text is that of ``json.dumps(doc, indent=2)``, one score per line,
+    written directly: labels are escaped by ``json.dumps`` and each block
+    of a group's scores is one string join, as in ``dumps_csv``.
+    """
     components = _as_components(data)
-    doc = {
-        "components": {
-            cid: {label: scores.tolist() for label, scores in grouped.groups.items()}
-            for cid, grouped in components.items()
-        }
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    buf = io.StringIO()
+    buf.write('{\n  "components": {')
+    for i, (cid, grouped) in enumerate(components.items()):
+        buf.write(f'{"," if i else ""}\n    {json.dumps(cid)}: {{')
+        for j, (label, scores) in enumerate(grouped.groups.items()):
+            buf.write(f'{"," if j else ""}\n      {json.dumps(label)}: [')
+            # json.dumps spells nan and inf as NaN and Infinity; repr suffices otherwise
+            number = repr if np.isfinite(scores).all() else json.dumps
+            for start in range(0, scores.size, _WRITE_BLOCK):
+                block = scores[start:start + _WRITE_BLOCK].tolist()
+                buf.write(",\n        " if start else "\n        ")
+                buf.write(",\n        ".join(map(number, block)))
+            buf.write("\n      ]" if scores.size else "]")
+        buf.write("\n    }" if grouped.groups else "}")
+    buf.write("\n  }\n}\n" if components else "}\n}\n")
+    return buf.getvalue()
 
 
 def save_csv(data, path) -> None:

@@ -81,7 +81,12 @@ def build_plotdata(
     grid_points: int = 256,
     bandwidth: float | None = None,
 ) -> PlotData:
-    """Histogram and density series for every (component, group)."""
+    """Histogram and density series for every (component, group).
+
+    Each component is read in the canonical form of
+    ``GroupedScores.validated``, so a component that fails its check raises
+    ValidationError and no series depends on the order of a group's scores.
+    """
     if grid_points < 2:
         raise ConfigError(f"grid_points must be >= 2, got {grid_points}")
     if bandwidth is not None and bandwidth <= 0:
@@ -89,8 +94,8 @@ def build_plotdata(
     components = []
     warnings: list[Diagnostic] = []
     for cid, grouped in dataset.components.items():
-        pooled = grouped.union()
-        edges = histogram_edges(float(pooled.min()), float(pooled.max()), bin_width)
+        grouped = grouped.validated()
+        edges = histogram_edges(*grouped.pooled_range(), bin_width)
         groups = []
         for label, values in grouped.groups.items():
             counts, _ = np.histogram(values, bins=edges)
@@ -98,8 +103,8 @@ def build_plotdata(
             density = None
             if h > 0:
                 x = np.linspace(
-                    float(values.min()) - _GRID_PAD * h,
-                    float(values.max()) + _GRID_PAD * h,
+                    float(values[0]) - _GRID_PAD * h,
+                    float(values[-1]) + _GRID_PAD * h,
                     grid_points,
                 )
                 y = kernels.kde_gaussian(values, x, h)

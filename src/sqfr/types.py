@@ -81,7 +81,8 @@ class GroupedScores:
         A canonical collection, such as a loaded component, comes back as
         itself. Any other gets one :meth:`require_valid`; then an ascending
         group is kept as a read-only view and any other is sorted into a
-        read-only copy. The caller's arrays are never sorted or frozen.
+        read-only copy, with any -0 before any 0. The caller's arrays are
+        never sorted or frozen.
         """
         if isinstance(self, _ValidatedScores):
             return self
@@ -119,9 +120,23 @@ class _ValidatedScores(GroupedScores):
 
 
 def _canonical(scores) -> np.ndarray:
-    """One group as a read-only float64 array: a view if ascending, else a sorted copy."""
+    """One group as a read-only float64 array: a view if ascending, else a sorted copy.
+
+    Any -0 comes before any 0, which compare equal, so that the bits of a
+    group do not depend on the order of its scores either.
+    """
     g = np.asarray(scores, dtype=np.float64).reshape(-1)
-    g = np.sort(g) if np.any(g[1:] < g[:-1]) else g.view()
+    ascending = not np.any(g[1:] < g[:-1])
+    # counted before sorting, as np.sort may change the sign of a zero
+    negative_zeros = None if ascending else np.count_nonzero(np.signbit(g[g == 0.0]))
+    g = g.view() if ascending else np.sort(g)
+    lo, hi = np.searchsorted(g, 0.0, "left"), np.searchsorted(g, 0.0, "right")
+    signs = np.signbit(g[lo:hi])
+    k = np.count_nonzero(signs) if ascending else negative_zeros
+    if not (signs[:k].all() and not signs[k:].any()):
+        if ascending:
+            g = g.copy()
+        g[lo:lo + k], g[lo + k:hi] = -0.0, 0.0
     g.flags.writeable = False
     return g
 

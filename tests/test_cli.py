@@ -80,6 +80,20 @@ class TestEval:
         err = capsys.readouterr().err
         assert err == f"error: {path}: components.q.B[0]: score is not finite\n"
 
+    @pytest.mark.parametrize("name, data, where", [
+        ("bad.csv", b"group,component,score\nA,q,1\nB,q,\xff2\n",
+         "row 3: invalid UTF-8 at byte 32"),
+        ("bad.json", b'{"components": {"q": {"A": [1], "B": [2\xc3]}}}',
+         "invalid UTF-8 at byte 39"),
+        ("big.csv", b"group,component,score\nA,q,1\nB,q,2" + b"0" * 200_000 + b"\n",
+         "row 3: malformed CSV: field larger than field limit"),
+    ])
+    def test_unreadable_input_exits_1(self, tmp_path, capsys, name, data, where):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["eval", "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {where}")
+
     def test_unknown_measure_exits_2(self, q2_csv, capsys):
         assert main(["eval", "--input", str(q2_csv), "--measures", "bogus"]) == 2
         assert "valid measures" in capsys.readouterr().err

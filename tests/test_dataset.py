@@ -1,5 +1,6 @@
 """Loading, validation and round-trip behavior of the dataset formats."""
 
+import csv
 import re
 
 import numpy as np
@@ -109,6 +110,27 @@ class TestLoadCsv:
         ds = load_csv(write(tmp_path / "d.csv", text))
         assert ds.components["q"].groups["A"].tolist() == [1, 3]
 
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("rows", [b"A,q,1\nB,q,2\n" * 5000, b"".join(
+        b"A,q,%d.5\nB,q,%d.25\n" % (k, k) for k in range(5000))], ids=["repeated", "distinct"])
+    def test_invalid_utf8_cites_row_and_byte(self, tmp_path, rows, strict):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"group,component,score\r\n" + rows + b"A,q,\xff\n" + rows)
+        offset = 23 + len(rows) + 4
+        with pytest.raises(ParseError, match=rf": row 10002: invalid UTF-8 at byte {offset}$"):
+            load_csv(path, strict=strict)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("rows", [b"A,q,1\nB,q,2\n" * 5000, b"".join(
+        b"A,q,%d.5\nB,q,%d.25\n" % (k, k) for k in range(5000))], ids=["repeated", "distinct"])
+    def test_field_over_the_size_limit_cites_row(self, tmp_path, rows, strict):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"group,component,score\n" + rows + b"A,q,1" + b"0" * 200_000 + b"\n")
+        limit = csv.field_size_limit()
+        with pytest.raises(ParseError, match=rf": row 10002: malformed CSV: field larger than"
+                                             rf" field limit \({limit}\)$"):
+            load_csv(path, strict=strict)
+
     def test_repeated_column_name_is_config_error(self, tmp_path):
         # csv.DictReader would read the last 'group' column: X and Y, not A and B
         text = "group,component,score,group\nA,s,1,X\nB,s,2,Y\n"
@@ -159,6 +181,13 @@ class TestLoadJson:
     def test_duplicate_key_cites_json_path(self, tmp_path, doc, where, key):
         with pytest.raises(ParseError, match=rf"d\.json: {re.escape(where)}: duplicate key '{key}'"):
             load_json(write(tmp_path / "d.json", doc))
+
+    def test_invalid_utf8_cites_byte(self, tmp_path):
+        path = tmp_path / "d.json"
+        data = b'{"components": {"q": {"A": [1], "B": [2]}}}\n\xe9'
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=rf": invalid UTF-8 at byte {data.index(0xe9)}$"):
+            load_json(path)
 
     def test_integer_beyond_float_range_is_not_finite(self, tmp_path):
         doc = '{"components": {"q": {"A": [1, 2], "B": [1%s]}}}' % ("0" * 400)

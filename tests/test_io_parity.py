@@ -6,7 +6,9 @@ loop that checks one value at a time, a CSV writer that quotes every row
 and a JSON writer that converts one score at a time.
 The columnar code must load the same datasets (component and group order,
 float64 bits, frozen arrays, row counts) and raise the same errors and
-lenient warnings, and write the same bytes.
+lenient warnings, and write the same bytes. ``load_csv`` has two paths, a
+count of distinct lines and a row-by-row reading; each CSV case runs on
+both, and the tests check which path a file takes.
 """
 
 import csv
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sqfr.dataset
 from sqfr import GroupedScores, ParseError, ValidationError, builtin_scenarios, generate
 from sqfr.dataset import (
     Dataset,
@@ -153,7 +156,8 @@ def _oracle_canonical(buckets, source):
     for cid in sorted(buckets):
         groups = {}
         for label in sorted(buckets[cid]):
-            arr = np.sort(np.asarray(buckets[cid][label], dtype=np.float64))
+            arr = np.asarray(buckets[cid][label], dtype=np.float64)
+            arr = arr[np.lexsort((~np.signbit(arr), arr))]  # ascending, -0 before 0
             arr.flags.writeable = False
             groups[label] = arr
         grouped = GroupedScores(cid, groups)
@@ -281,6 +285,122 @@ def test_rows_after_blank_lines_keep_their_line_numbers(tmp_path):
         load_csv(path)
 
 
+# --- the counted pass -----------------------------------------------------
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Whether each load_csv call took the counted pass (True) or read row by row."""
+    taken = []
+    count = sqfr.dataset._counted_buckets
+
+    def spy(*args):
+        result = count(*args)
+        taken.append(result is not None)
+        return result
+
+    monkeypatch.setattr(sqfr.dataset, "_counted_buckets", spy)
+    return taken
+
+
+def repeated(text, times=4):
+    """The first line of ``text``, then the rest of it ``times`` times."""
+    head, sep, body = text.partition("\n")
+    return head + sep + body * times
+
+
+#: Cases whose repeated body must still be read row by row: a quote, a row
+#: that fails its check, or a -0 score.
+ROW_BY_ROW = {
+    "blank-then-bad", "crlf", "empty-fields", "exponent-forms", "forbidden-label", "inf",
+    "lenient-two-bad", "missing-field", "multiline-then-bad", "nan-score", "negative",
+    "negative-zero", "overflowing-float", "quoted-comma-label", "short-rows", "ten-to-309",
+    "unparsable",
+}
+#: Cases that stop at the header, before either path.
+HEADER_ONLY = {
+    "blank-first-line", "empty-file", "missing-column", "repeated-column", "repeated-sample-column",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_CASES))
+def test_repeated_csv_load_parity(tmp_path, counted, name):
+    assert_csv_parity(write(tmp_path / "d.csv", repeated(CSV_CASES[name])))
+    if name in HEADER_ONLY:
+        assert counted == []
+    else:
+        assert counted == [name not in ROW_BY_ROW] * 2
+
+
+def rows_of(*pairs):
+    return "".join(f"{group},q,{score}\n" for group, score in pairs)
+
+
+DISTINCT = rows_of(*((g, repr(0.5 + k / 7)) for k in range(3000) for g in "AB"))
+
+COUNTED_CASES = {
+    # (text, whether the counted pass keeps it)
+    "crlf": ((HEADER + rows_of(("A", 1), ("B", 2))).replace("\n", "\r\n")
+             + "A,q,3\r\n\r\nB,q,4\r\n" * 50, True),
+    "bom": ("\ufeff" + HEADER + rows_of(("A", 1), ("B", 2)) * 50, True),
+    "bom-row-by-row": ("\ufeff" + HEADER + DISTINCT, False),
+    "blank-lines": (HEADER + "\nA,q,1\n\n\nB,q,2\n\r\n\r" * 50 + "B,q,3\n\n", True),
+    "no-final-newline": (HEADER + rows_of(("A", 1), ("B", 2)) * 50 + "A,q,1", True),
+    "lf-and-crlf-mixed": (HEADER + "A,q,1\nA,q,1\r\nB,q,2\rB,q,2\n" * 50, True),
+    "spellings-of-one-score": (HEADER + "A,q,1\nA,q,1.0\nA,q, 1\nA,q,1e0\nB,q,2\n" * 50,
+                               True),
+    "several-components": (HEADER + "".join(
+        f"{g},c{k % 3},{k % 101}\n" for k in range(5000) for g in "ABC"), True),
+    "bad-line-deep": (HEADER + rows_of(("A", 1), ("B", 2)) * 600 + "B,q,x\n"
+                      + rows_of(("A", 3), ("B", 4)) * 600 + "A,q,-1\n" + "A,q,1\n" * 10, False),
+    "quoted-fields": (HEADER + '"A",q,1\nB,q,2\n' * 50, False),
+    "quote-in-score": (HEADER + 'A,q,1\nB,q,"2"\n' * 50, False),
+    "mostly-distinct": (HEADER + DISTINCT, False),
+    # gives up in the third block of lines, not the first
+    "repeated-prefix-distinct-tail": (HEADER + rows_of(("A", 1), ("B", 2)) * 35_000
+                                      + rows_of(*((g, repr(k / 3)) for k in range(1, 40_000)
+                                                  for g in "AB")), False),
+    "repeated-prefix-short-distinct-tail": (HEADER + rows_of(("A", 1), ("B", 2)) * 50_000
+                                            + DISTINCT, True),
+    "negative-zero-mixed": (HEADER + "A,q,-0\nA,q,0\nB,q,0\nA,q,-0.0\nA,q,0.0\nB,q,-0\n" * 50,
+                            False),
+    "negative-zero-only": (HEADER + "A,q,-0\nB,q,1\n" * 50, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED_CASES))
+def test_csv_paths_load_parity(tmp_path, counted, name):
+    text, kept = COUNTED_CASES[name]
+    assert_csv_parity(write(tmp_path / "d.csv", text))
+    assert counted == [kept] * 2
+
+
+def test_bad_line_deep_in_a_repeated_file_keeps_its_row_number(tmp_path):
+    path = write(tmp_path / "d.csv", COUNTED_CASES["bad-line-deep"][0])
+    with pytest.raises(ParseError, match=r"row 1202: score 'x' is not a number$"):
+        load_csv(path)
+    warnings = [(d.location, d.message) for d in load_csv(path, strict=False).provenance.warnings]
+    assert warnings == [
+        ("row 1202", "skipped row: row 1202: score 'x' is not a number"),
+        ("row 2403", "skipped row: row 2403: negative score '-1'"),
+    ]
+
+
+def test_negative_zeros_keep_their_sign_and_come_first(tmp_path):
+    text = HEADER + "A,q,0\nA,q,-0\nA,q,0\nB,q,-0.0\nB,q,1\n" * 3
+    loaded = load_csv(write(tmp_path / "d.csv", text))
+    signs = {label: np.signbit(g).tolist() for label, g in loaded.components["q"].groups.items()}
+    assert signs == {"A": [True] * 3 + [False] * 6, "B": [True] * 3 + [False] * 3}
+
+
+def test_counted_groups_are_ascending_views(tmp_path):
+    rows = rows_of(*((g, (7 * k) % 101) for k in range(2000) for g in "AB"))
+    grouped = load_csv(write(tmp_path / "d.csv", HEADER + rows)).components["q"]
+    for g in grouped.groups.values():
+        assert np.all(g[1:] >= g[:-1])
+        assert g.base is not None  # a view: the canonicalizer did not sort it again
+
+
 JSON_CASES = {
     "minimal": '{"components":{"q":{"A":[1,2],"B":[3]}}}',
     "empty-components": '{"components":{}}',
@@ -375,6 +495,24 @@ def test_dumps_json_matches_on_extreme_values():
         "r": GroupedScores("r", {"x,y": np.random.default_rng(5).uniform(0, 100, 1000)}),
     }
     assert dumps_json(comps) == oracle_dumps_json(comps)
+
+
+def test_dumps_json_matches_on_labels_that_need_escaping():
+    comps = {
+        'q"uote\\': GroupedScores('q"uote\\', {'a"b': [1.5], "back\\slash": [2.5], "": [3.5]}),
+        "ctrl\x00\x1f\x7f": GroupedScores("ctrl\x00\x1f\x7f", {"new\nline\r\t": [4.0], "x": []}),
+        "ünï cödé €": GroupedScores("ünï cödé €", {"日本": [5.0], "\U0001f600\u2028": [6.0]}),
+        "non-finite": GroupedScores("non-finite", {"A": [np.nan, np.inf, -np.inf, 1.0]}),
+        "no-groups": GroupedScores("no-groups", {}),
+    }
+    assert dumps_json(comps) == oracle_dumps_json(comps)
+    assert dumps_json({}) == oracle_dumps_json({})
+
+
+def test_dumps_json_matches_across_write_blocks():
+    scores = np.random.default_rng(4).uniform(0, 100, 200_001)
+    grouped = GroupedScores("q", {"A": scores, "B": scores[:7]})
+    assert dumps_json(grouped) == oracle_dumps_json({"q": grouped})
 
 
 # --- round trip -----------------------------------------------------------

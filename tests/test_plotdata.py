@@ -139,3 +139,12 @@ class TestSerialization:
     def test_deterministic(self):
         ds = make_dataset({"A": [1.0, 9.0], "B": [4.0, 6.0]})
         assert to_json(build_plotdata(ds)) == to_json(build_plotdata(ds))
+
+    def test_within_group_order_does_not_change_the_bytes(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            groups = {"A": rng.uniform(0, 100, 40), "B": rng.uniform(0, 100, 30)}
+            shuffled = {label: rng.permutation(g) for label, g in groups.items()}
+            ascending = {label: np.sort(g) for label, g in groups.items()}
+            assert (to_json(build_plotdata(make_dataset(shuffled)))
+                    == to_json(build_plotdata(make_dataset(ascending))))
