@@ -24,17 +24,17 @@ counts the distinct lines after the header (in C, with ``Counter``),
 checks each distinct line once, and expands each group's sorted distinct
 scores by their counts into an array that is already ascending. It reads
 the file again from line 1, row by row, when over half of the lines read
-are distinct (checked every 2**16 lines, which bounds the memory the count
-takes), when any line holds a ``"`` (a quoted field can span lines), or
-when any distinct line fails its check or scores -0; so every CSV
-diagnostic comes from the row-by-row reading. Either way a row or line is
-checked inline (field count, a score in [0, float max], labels once per
-new (component, group)); ``load_json`` converts and checks each group's
-list as one array. Only input that fails those cheap checks is checked
-again, row by row or element by element, by the full check, which
-produces every diagnostic and cites its row or JSON path. ``dumps_csv``
-and ``dumps_json`` quote the labels once per group and format the scores
-in blocks.
+are distinct or more than 2**15 lines are (checked every 2**16 lines, so
+the count never holds more than about 10**5 lines), when any line holds a
+``"`` (a quoted field can span lines), or when any distinct line fails its
+check; so every CSV diagnostic comes from the row-by-row reading. Either
+way a row or line is checked inline (field count, a score in [0, float
+max], labels once per new (component, group)); ``load_json`` converts and
+checks each group's list as one array. Only input that fails those cheap
+checks is checked again, row by row or element by element, by the full
+check, which produces every diagnostic and cites its row or JSON path.
+``dumps_csv`` and ``dumps_json`` quote the labels once per group and
+format the scores in blocks.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ _FLOAT_MAX = sys.float_info.max
 #: the Python floats and strings alive at once.
 _WRITE_BLOCK = 65536
 
-#: Lines load_csv counts between checks that most of them repeat.
+#: Lines load_csv counts between checks that most of them repeat; at most
+#: half as many distinct lines are counted before it reads row by row.
 _COUNT_BLOCK = 1 << 16
 
 #: Characters per write in save_csv and save_json.
@@ -122,10 +123,10 @@ def load_csv(
 
     The rows after the header are first counted as distinct lines (see
     ``_counted_buckets``), and each distinct line is parsed once. The file
-    is read again row by row, from line 1, when that count shows mostly
+    is read again row by row, from line 1, when that count finds too many
     distinct lines, when a line holds a ``"`` (a quoted field can span
-    lines), or when a distinct line fails its check or scores -0. So every
-    diagnostic, row number and row count is that of the row-by-row reading.
+    lines), or when a distinct line fails its check. So every diagnostic,
+    row number and row count is that of the row-by-row reading.
     """
     path = Path(path)
     warnings: list[Diagnostic] = []
@@ -177,12 +178,12 @@ def _counted_buckets(fh, columns):
     lines left in ``fh`` and how often each occurs; None when the file must
     be read row by row instead.
 
-    Lines are counted in blocks, and counting stops once over half of the
-    lines read are distinct, so memory stays bounded on data with few
-    repeats. Every distinct line must be one complete record (no ``"``)
-    that passes ``_parse_row``. A -0 score also gives up, as the scores
-    are counted in a dict, where -0 and 0 are one key. The arrays come out
-    ascending, each distinct score repeated as often as it occurs.
+    Lines are counted in blocks of ``_COUNT_BLOCK``, and counting stops
+    once over half of the lines read, or over half a block, are distinct.
+    So the count holds at most one and a half blocks of distinct lines,
+    whatever the file's length. Every distinct line must be one complete
+    record (no ``"``) that passes ``_parse_row``. The arrays come out
+    ascending, each distinct line's score repeated as often as it occurs.
     """
     counts: Counter[str] = Counter()
     read = 0
@@ -190,7 +191,7 @@ def _counted_buckets(fh, columns):
         # update() from the iterator keeps only new lines alive, not a block of them
         counts.update(islice(fh, _COUNT_BLOCK))
         before, read = read, counts.total()
-        if 2 * len(counts) > read:
+        if 2 * len(counts) > min(read, _COUNT_BLOCK):
             return None
         if read - before < _COUNT_BLOCK:  # the end of the file
             break
@@ -198,7 +199,7 @@ def _counted_buckets(fh, columns):
         return None
     # each distinct line checked as _read_rows checks a row
     (_, gi), (_, ci), (_, si) = columns
-    scores: dict[tuple[str, str], dict[float, int]] = {}
+    scores: dict[tuple[str, str], tuple[array, array]] = {}
     rows = 0
     try:
         # one record per line, as no line holds a quote
@@ -206,26 +207,30 @@ def _counted_buckets(fh, columns):
             if not record:  # a blank line
                 continue
             try:
-                group = scores[record[ci], record[gi]]
+                values, repeats = scores[record[ci], record[gi]]
                 score = float(record[si])
             except (IndexError, KeyError, ValueError):
                 try:
                     score = _parse_row(record, 0, columns)
                 except ParseError:
                     return None
-                group = scores.setdefault((record[ci], record[gi]), {})
-            if not 0.0 <= score <= _FLOAT_MAX or math.copysign(1.0, score) < 0.0:
-                return None  # nan, inf, a negative score or -0
+                values, repeats = scores.setdefault(
+                    (record[ci], record[gi]), (array("d"), array("q"))
+                )
+            if not 0.0 <= score <= _FLOAT_MAX:  # false for nan, inf and negatives
+                return None
             rows += n
-            group[score] = group.get(score, 0) + n
+            values.append(score)
+            repeats.append(n)
     except csv.Error:
         return None
     buckets: dict[str, dict[str, np.ndarray]] = {}
-    for (cid, label), group in scores.items():
-        values = np.fromiter(group, np.float64, len(group))
-        repeats = np.fromiter(group.values(), np.int64, len(group))
+    for (cid, label), (values, repeats) in scores.items():
+        values = np.frombuffer(values, np.float64)
         order = np.argsort(values)
-        buckets.setdefault(cid, {})[label] = np.repeat(values[order], repeats[order])
+        buckets.setdefault(cid, {})[label] = np.repeat(
+            values[order], np.frombuffer(repeats, np.int64)[order]
+        )
     return buckets, rows
 
 
@@ -491,16 +496,17 @@ def dumps_json(data) -> str:
     """Serialize components to the JSON dataset schema.
 
     The text is that of ``json.dumps(doc, indent=2)``, one score per line,
-    written directly: labels are escaped by ``json.dumps`` and each block
-    of a group's scores is one string join, as in ``dumps_csv``.
+    written directly: labels are quoted as ``json.dumps`` quotes a key (see
+    ``_json_key``) and each block of a group's scores is one string join,
+    as in ``dumps_csv``.
     """
     components = _as_components(data)
     buf = io.StringIO()
     buf.write('{\n  "components": {')
     for i, (cid, grouped) in enumerate(components.items()):
-        buf.write(f'{"," if i else ""}\n    {json.dumps(cid)}: {{')
+        buf.write(f'{"," if i else ""}\n    {_json_key(cid)}: {{')
         for j, (label, scores) in enumerate(grouped.groups.items()):
-            buf.write(f'{"," if j else ""}\n      {json.dumps(label)}: [')
+            buf.write(f'{"," if j else ""}\n      {_json_key(label)}: [')
             # json.dumps spells nan and inf as NaN and Infinity; repr suffices otherwise
             number = repr if np.isfinite(scores).all() else json.dumps
             for start in range(0, scores.size, _WRITE_BLOCK):
@@ -511,6 +517,16 @@ def dumps_json(data) -> str:
         buf.write("\n    }" if grouped.groups else "}")
     buf.write("\n  }\n}\n" if components else "}\n}\n")
     return buf.getvalue()
+
+
+def _json_key(key) -> str:
+    """``key`` as ``json.dumps`` writes an object key: a str quoted and
+    escaped, an int, float, bool or None spelled as JSON first."""
+    if not isinstance(key, str):
+        if not (isinstance(key, (int, float)) or key is None):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = json.dumps(key)
+    return json.dumps(key)
 
 
 def save_csv(data, path) -> None:

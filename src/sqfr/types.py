@@ -122,23 +122,17 @@ class _ValidatedScores(GroupedScores):
 def _canonical(scores) -> np.ndarray:
     """One group as a read-only float64 array: a view if ascending, else a sorted copy.
 
-    Any -0 comes before any 0, which compare equal, so that the bits of a
-    group do not depend on the order of its scores either.
+    A group holding a -0 is sorted by index instead, with every -0 before
+    every 0: they compare equal, and ``np.sort`` may change a zero's sign.
     """
     g = np.asarray(scores, dtype=np.float64).reshape(-1)
-    ascending = not np.any(g[1:] < g[:-1])
-    # counted before sorting, as np.sort may change the sign of a zero
-    negative_zeros = None if ascending else np.count_nonzero(np.signbit(g[g == 0.0]))
-    g = g.view() if ascending else np.sort(g)
-    lo, hi = np.searchsorted(g, 0.0, "left"), np.searchsorted(g, 0.0, "right")
-    signs = np.signbit(g[lo:hi])
-    k = np.count_nonzero(signs) if ascending else negative_zeros
-    if not (signs[:k].all() and not signs[k:].any()):
-        if ascending:
-            g = g.copy()
-        g[lo:lo + k], g[lo + k:hi] = -0.0, 0.0
-    g.flags.writeable = False
-    return g
+    out = np.sort(g) if np.any(g[1:] < g[:-1]) else g.view()
+    # scores are non-negative, so only a group whose least score is a zero
+    # can hold a -0, and any sign bit in it is one
+    if out.size and out[0] == 0.0 and np.signbit(g).any():
+        out = g[np.lexsort((~np.signbit(g), g))]
+    out.flags.writeable = False
+    return out
 
 
 @dataclass

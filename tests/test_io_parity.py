@@ -309,12 +309,12 @@ def repeated(text, times=4):
     return head + sep + body * times
 
 
-#: Cases whose repeated body must still be read row by row: a quote, a row
-#: that fails its check, or a -0 score.
+#: Cases whose repeated body must still be read row by row: a quote or a row
+#: that fails its check.
 ROW_BY_ROW = {
     "blank-then-bad", "crlf", "empty-fields", "exponent-forms", "forbidden-label", "inf",
     "lenient-two-bad", "missing-field", "multiline-then-bad", "nan-score", "negative",
-    "negative-zero", "overflowing-float", "quoted-comma-label", "short-rows", "ten-to-309",
+    "overflowing-float", "quoted-comma-label", "short-rows", "ten-to-309",
     "unparsable",
 }
 #: Cases that stop at the header, before either path.
@@ -356,15 +356,21 @@ COUNTED_CASES = {
     "quoted-fields": (HEADER + '"A",q,1\nB,q,2\n' * 50, False),
     "quote-in-score": (HEADER + 'A,q,1\nB,q,"2"\n' * 50, False),
     "mostly-distinct": (HEADER + DISTINCT, False),
-    # gives up in the third block of lines, not the first
+    # gives up in the second block of lines: over half a block is distinct,
+    # though not over half of the lines read
     "repeated-prefix-distinct-tail": (HEADER + rows_of(("A", 1), ("B", 2)) * 35_000
                                       + rows_of(*((g, repr(k / 3)) for k in range(1, 40_000)
                                                   for g in "AB")), False),
     "repeated-prefix-short-distinct-tail": (HEADER + rows_of(("A", 1), ("B", 2)) * 50_000
                                             + DISTINCT, True),
+    # 40 % distinct lines throughout, so the count would grow with the file
+    "mostly-repeated-but-long": (HEADER + "".join(
+        f"A,q,{k / 7!r}\n" if k % 5 < 2 else f"B,q,{k % 101}\n" for k in range(100_000)),
+        False),
     "negative-zero-mixed": (HEADER + "A,q,-0\nA,q,0\nB,q,0\nA,q,-0.0\nA,q,0.0\nB,q,-0\n" * 50,
-                            False),
-    "negative-zero-only": (HEADER + "A,q,-0\nB,q,1\n" * 50, False),
+                            True),
+    "negative-zero-only": (HEADER + "A,q,-0\nB,q,1\n" * 50, True),
+    "negative-zero-row-by-row": (HEADER + "A,q,-0\nB,q,0\nA,q,0\n" + DISTINCT, False),
 }
 
 
@@ -507,6 +513,16 @@ def test_dumps_json_matches_on_labels_that_need_escaping():
     }
     assert dumps_json(comps) == oracle_dumps_json(comps)
     assert dumps_json({}) == oracle_dumps_json({})
+
+
+def test_dumps_json_matches_on_labels_that_are_not_str():
+    comps = {
+        1: GroupedScores(1, {2.5: [1.0], True: [2.0], None: [3.0], 7: [4.0], "7": [5.0]}),
+        float("nan"): GroupedScores("x", {False: [], float("-inf"): [6.0]}),
+    }
+    assert dumps_json(comps) == oracle_dumps_json(comps)
+    with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+        dumps_json({"q": GroupedScores("q", {("a",): [1.0]})})
 
 
 def test_dumps_json_matches_across_write_blocks():

@@ -138,6 +138,14 @@ class TestCanonicalForm:
         assert not any(g.flags.writeable for g in canonical.groups.values())
         assert canonical.pooled_range() == (1.0, 5.0)
 
+    @pytest.mark.parametrize("scores", [[0.0, -0.0, 1.0, -0.0], [-0.0, 0.0, 0.0, -0.0, 2.0],
+                                        [0.0, -0.0] * 40, [-0.0, -0.0, 0.0, 3.0]])
+    def test_negative_zeros_keep_their_sign_and_come_first(self, scores):
+        group = grouped({"A": scores, "B": [1.0]}).validated().groups["A"]
+        k = sum(np.signbit(scores))
+        assert np.signbit(group).tolist() == [True] * k + [False] * (len(scores) - k)
+        assert group.tolist() == sorted(scores) and not group.flags.writeable
+
     def test_canonical_input_comes_back_as_itself(self):
         canonical = grouped({"A": [3.0, 1.0], "B": [2.0]}).validated()
         assert canonical.validated() is canonical
