@@ -3,16 +3,16 @@
 Subcommands: eval (dataset -> fairness report), simulate (scenario ->
 dataset file), plotdata (dataset -> histogram/density series), fixtures
 (print the builtin golden aggregates). Exit codes: 0 success, 1 I/O or
-parse failure, 2 validation or configuration failure. Output is built in
-full before anything is written, so a non-zero exit never leaves a partial
-report behind.
+parse failure, 2 validation or configuration failure. A report or plot is
+built in full before anything is written, so a non-zero exit never leaves a
+partial one behind; simulate streams its dataset into the file, which a
+failed write can leave partial.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -234,12 +234,10 @@ def _cmd_fixtures(args) -> int:
                  f"{expected:g}", f"{computed[key]:.6f}", f"{f.tolerance:g}", f.source)
             )
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["fixture", "aggregator", "measure", "expected", "computed",
                          "tolerance", "source"])
         writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
         return 0
 
     print("| fixture | aggregator | measure | expected | computed | tolerance | source |")

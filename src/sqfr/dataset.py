@@ -33,8 +33,10 @@ max], labels once per new (component, group)); ``load_json`` converts and
 checks each group's list as one array. Only input that fails those cheap
 checks is checked again, row by row or element by element, by the full
 check, which produces every diagnostic and cites its row or JSON path.
-``dumps_csv`` and ``dumps_json`` quote the labels once per group and
-format the scores in blocks.
+The writers quote the labels once per group and format the scores in
+blocks of ``_WRITE_BLOCK``. ``dumps_csv`` and ``dumps_json`` collect the
+blocks into one string; ``save_csv`` and ``save_json`` stream them block by
+block into the file, so a save never holds the whole text.
 """
 
 from __future__ import annotations
@@ -62,16 +64,13 @@ UNBALANCE_RATIO = 10.0
 
 _FLOAT_MAX = sys.float_info.max
 
-#: Rows of one group that dumps_csv formats with one string join; bounds
+#: Rows of one group that the writers format with one string join; bounds
 #: the Python floats and strings alive at once.
 _WRITE_BLOCK = 65536
 
 #: Lines load_csv counts between checks that most of them repeat; at most
 #: half as many distinct lines are counted before it reads row by row.
 _COUNT_BLOCK = 1 << 16
-
-#: Characters per write in save_csv and save_json.
-_SAVE_CHUNK = 1 << 20
 
 
 @dataclass
@@ -473,11 +472,36 @@ def _as_components(data) -> dict[str, GroupedScores]:
 
 def dumps_csv(data) -> str:
     """Serialize components to CSV text (component, group, score rows)."""
-    components = _as_components(data)
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["component", "group", "score"])
-    for cid, grouped in components.items():
+    _write_csv(data, buf)
+    return buf.getvalue()
+
+
+def dumps_json(data) -> str:
+    """Serialize components to the JSON dataset schema, as the text of
+    ``json.dumps(doc, indent=2)`` with one score per line."""
+    buf = io.StringIO()
+    _write_json(data, buf)
+    return buf.getvalue()
+
+
+def save_csv(data, path) -> None:
+    """Write ``dumps_csv(data)`` to ``path`` as UTF-8, block by block."""
+    with open(path, "w", encoding="utf-8") as fh:
+        _write_csv(data, fh)
+
+
+def save_json(data, path) -> None:
+    """Write ``dumps_json(data)`` to ``path`` as UTF-8, block by block. Like
+    ``json.dump``, a save that fails part way (TypeError for a key JSON
+    cannot spell, or OSError) may leave a partial file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        _write_json(data, fh)
+
+
+def _write_csv(data, out) -> None:
+    out.write("component,group,score\n")
+    for cid, grouped in _as_components(data).items():
         for label, scores in grouped.groups.items():
             # quote the labels once per group; a float's repr needs no quoting
             line = io.StringIO()
@@ -486,37 +510,27 @@ def dumps_csv(data) -> str:
             sep = "\n" + prefix
             for start in range(0, scores.size, _WRITE_BLOCK):
                 block = scores[start:start + _WRITE_BLOCK].tolist()
-                buf.write(prefix)
-                buf.write(sep.join(map(repr, block)))
-                buf.write("\n")
-    return buf.getvalue()
+                out.write(prefix)
+                out.write(sep.join(map(repr, block)))
+                out.write("\n")
 
 
-def dumps_json(data) -> str:
-    """Serialize components to the JSON dataset schema.
-
-    The text is that of ``json.dumps(doc, indent=2)``, one score per line,
-    written directly: labels are quoted as ``json.dumps`` quotes a key (see
-    ``_json_key``) and each block of a group's scores is one string join,
-    as in ``dumps_csv``.
-    """
+def _write_json(data, out) -> None:
     components = _as_components(data)
-    buf = io.StringIO()
-    buf.write('{\n  "components": {')
+    out.write('{\n  "components": {')
     for i, (cid, grouped) in enumerate(components.items()):
-        buf.write(f'{"," if i else ""}\n    {_json_key(cid)}: {{')
+        out.write(f'{"," if i else ""}\n    {_json_key(cid)}: {{')
         for j, (label, scores) in enumerate(grouped.groups.items()):
-            buf.write(f'{"," if j else ""}\n      {_json_key(label)}: [')
+            out.write(f'{"," if j else ""}\n      {_json_key(label)}: [')
             # json.dumps spells nan and inf as NaN and Infinity; repr suffices otherwise
             number = repr if np.isfinite(scores).all() else json.dumps
             for start in range(0, scores.size, _WRITE_BLOCK):
                 block = scores[start:start + _WRITE_BLOCK].tolist()
-                buf.write(",\n        " if start else "\n        ")
-                buf.write(",\n        ".join(map(number, block)))
-            buf.write("\n      ]" if scores.size else "]")
-        buf.write("\n    }" if grouped.groups else "}")
-    buf.write("\n  }\n}\n" if components else "}\n}\n")
-    return buf.getvalue()
+                out.write(",\n        " if start else "\n        ")
+                out.write(",\n        ".join(map(number, block)))
+            out.write("\n      ]" if scores.size else "]")
+        out.write("\n    }" if grouped.groups else "}")
+    out.write("\n  }\n}\n" if components else "}\n}\n")
 
 
 def _json_key(key) -> str:
@@ -527,19 +541,3 @@ def _json_key(key) -> str:
             raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
         key = json.dumps(key)
     return json.dumps(key)
-
-
-def save_csv(data, path) -> None:
-    _write_text(path, dumps_csv(data))
-
-
-def save_json(data, path) -> None:
-    _write_text(path, dumps_json(data))
-
-
-def _write_text(path, text: str) -> None:
-    """Write ``text`` as UTF-8 one slice at a time, so that no encoded copy
-    of the whole text is held beside it."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(text), _SAVE_CHUNK):
-            fh.write(text[start:start + _SAVE_CHUNK])

@@ -14,6 +14,7 @@ therefore influence these measures only through the aggregates themselves
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -171,8 +172,7 @@ def relevant_thresholds(scores: GroupedScores, step: float = 1.0) -> np.ndarray:
     appended when the span is not a whole number of steps. Empty when all
     scores are equal.
     """
-    if step <= 0:
-        raise DomainError(f"threshold step must be positive, got {step}")
+    _check_step(step)
     scores = scores.validated()
     lo, hi = scores.pooled_range()
     span = hi - lo
@@ -296,9 +296,15 @@ def evaluate_component(
     return out
 
 
+def _check_step(step: float) -> None:
+    if not 0 < step < math.inf:  # false for nan
+        raise DomainError(f"threshold step must be finite and positive, got {step}")
+
+
 def _thresholds_for(scores: GroupedScores, step: float, mode: str) -> np.ndarray:
     if mode not in THRESHOLD_MODES:
         raise DomainError(f"unknown thresholds mode {mode!r}; expected one of {THRESHOLD_MODES}")
+    _check_step(step)  # also in observed mode, where reports still record the step
     if mode == "observed":
         return observed_thresholds(scores)
     return relevant_thresholds(scores, step)

@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__, kernels
 from .dataset import Dataset, Diagnostic
 from .errors import ConfigError
+from .measures import MAX_THRESHOLDS
 
 FORMATS = ("json", "csv")
 
@@ -45,12 +46,23 @@ def silverman_bandwidth(values: np.ndarray) -> float:
 
 
 def histogram_edges(lo: float, hi: float, bin_width: float = 1.0) -> np.ndarray:
-    """Integer-aligned bin edges of the given width covering [lo, hi]."""
-    if bin_width <= 0:
-        raise ConfigError(f"bin width must be positive, got {bin_width}")
+    """Integer-aligned bin edges of the given width covering [lo, hi], in at
+    most ``MAX_THRESHOLDS`` bins."""
+    _check_finite_positive("bin width", bin_width)
     start = math.floor(lo)
-    nbins = max(1, math.ceil((hi - start) / bin_width - 1e-9))
-    return start + bin_width * np.arange(nbins + 1)
+    span = hi - start
+    bins = span / bin_width - 1e-9
+    if bins > MAX_THRESHOLDS:
+        raise ConfigError(
+            f"histogram would need more than {MAX_THRESHOLDS} bins (span {span:g},"
+            f" bin width {bin_width:g}); raise the bin width above {span / MAX_THRESHOLDS:g}"
+        )
+    return start + bin_width * np.arange(max(1, math.ceil(bins)) + 1)
+
+
+def _check_finite_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:  # false for nan
+        raise ConfigError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass
@@ -87,10 +99,11 @@ def build_plotdata(
     ``GroupedScores.validated``, so a component that fails its check raises
     ValidationError and no series depends on the order of a group's scores.
     """
-    if grid_points < 2:
-        raise ConfigError(f"grid_points must be >= 2, got {grid_points}")
-    if bandwidth is not None and bandwidth <= 0:
-        raise ConfigError(f"bandwidth must be positive, got {bandwidth}")
+    if not 2 <= grid_points <= MAX_THRESHOLDS:
+        raise ConfigError(f"grid_points must be >= 2 and <= {MAX_THRESHOLDS}, got {grid_points}")
+    _check_finite_positive("bin width", bin_width)
+    if bandwidth is not None:
+        _check_finite_positive("bandwidth", bandwidth)
     components = []
     warnings: list[Diagnostic] = []
     for cid, grouped in dataset.components.items():

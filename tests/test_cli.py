@@ -155,6 +155,49 @@ class TestEval:
         assert ",0.9," in out.read_text()
 
 
+class TestBadNumericParameters:
+    """Each out-of-range numeric option exits 2 with one typed error line."""
+
+    NARROW = "group,component,score\nA,q,1\nA,q,2\nB,q,3\nB,q,5\n"
+    WIDE = "group,component,score\nA,q,0\nA,q,1\nB,q,2\nB,q,1e12\n"
+
+    @pytest.mark.parametrize("argv, data", [
+        (["eval", "--threshold-step", "nan"], NARROW),
+        (["eval", "--threshold-step", "inf"], NARROW),
+        (["eval", "--threshold-step", "nan", "--thresholds", "observed"], NARROW),
+        (["plotdata", "--bin-width", "nan"], NARROW),
+        (["plotdata", "--bin-width", "inf"], NARROW),
+        (["plotdata", "--bandwidth", "nan"], NARROW),
+        (["plotdata", "--bandwidth", "inf"], NARROW),
+        (["plotdata", "--grid-points", "2000000000"], NARROW),
+        (["plotdata"], WIDE),
+        (["eval"], WIDE),
+    ])
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv, data):
+        path = tmp_path / "d.csv"
+        path.write_text(data)
+        assert main(argv + ["--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[-1].startswith("error: ")
+        assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("env, argv", [
+        ({"SQFR_PRECISION": "abc"}, []),
+        ({}, ["--precision", "-1"]),
+    ])
+    def test_bad_precision_exits_2(self, q2_csv, monkeypatch, capsys, env, argv):
+        monkeypatch.delenv("SQFR_PRECISION", raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        assert main(["eval", "--input", str(q2_csv), "--format", "csv"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "precision" in captured.err.lower()
+
+
 class TestSimulate:
     def test_unknown_scenario_lists_available(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", "nope", "--out", str(tmp_path / "x.csv")])
@@ -196,6 +239,14 @@ class TestSimulate:
         assert main(["simulate", "--spec", str(spec_path), "--seed", "1", "--out", str(out1)]) == 0
         assert main(["simulate", "--spec", str(spec_path), "--seed", "1", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_bad_spec_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text("name: not json")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {spec}: invalid JSON")
+        assert not out.exists()
 
     def test_json_output_format(self, tmp_path, capsys):
         data = tmp_path / "q5.json"
@@ -322,6 +373,21 @@ GOLDEN_DIGESTS = {
 }
 
 
+#: sha256 of ``sqfr plotdata --format csv`` on each builtin scenario's
+#: ``<scenario>.csv``, and of ``sqfr fixtures`` in each format.
+PLOTDATA_CSV_DIGESTS = {
+    "all-equal": "1af6c6fc134d31ab884da52b4d4c05b493e4923167fdac739684d3cf6205fd99",
+    "q1": "de42208bed3846b7555f64d7326eb718a2628ea29b89a6c0a425c54a5d0c0ae5",
+    "q2": "41d0755d46899fb2b3e30c038feb668fb3a164ce71652b3d73cdf682d9847183",
+    "q3": "56f631472d59e94cd8e8eb76d415c3407f530ba762cf8450e84e0143c70887c6",
+    "q5": "b7422316bee54822819312c807a088faa0570a5bce88318abc18d9fe09754c9e",
+}
+FIXTURES_DIGESTS = {
+    "json": "923d16efd16ed1cc0631c0d0a046557e4821fb2345c8fec7eddc8fafb332324a",
+    "csv": "0db2fc560d2ec389e1c8f8d2bcdc902065a473209ec280cdfd1a024f0f4d789d",
+    "markdown": "fd2f2038fb61314c1c5d09abe1ceeddbf4b2023084b2977f7e0a2aee34b8562b",
+}
+
 def cli_output_digests(name, capsys):
     """Output name -> sha256 for one builtin scenario simulated and evaluated.
 
@@ -356,3 +422,19 @@ class TestGoldenDigests:
     def test_outputs_match_recorded_digests(self, name, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert cli_output_digests(name, capsys) == GOLDEN_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(sqfr.builtin_scenarios()))
+    def test_plotdata_csv_matches_recorded_digest(self, name, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--scenario", name, "--out", f"{name}.csv"]) == 0
+        capsys.readouterr()
+        assert main(["plotdata", "--format", "csv", "--input", f"{name}.csv"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PLOTDATA_CSV_DIGESTS[name]
+
+    @pytest.mark.parametrize("fmt", sorted(FIXTURES_DIGESTS))
+    def test_fixtures_match_recorded_digest(self, fmt, capsys):
+        assert main(["fixtures", "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == FIXTURES_DIGESTS[fmt]

@@ -175,8 +175,9 @@ class TestLoadJson:
             ('{"components":{"s":{"A":[1],"B":[2]}},"components":{}}', "$", "components"),
             ('{"components":{"s":{"A":[1],"B":[2]},"s":{"A":[3],"B":[4]}}}', "components", "s"),
             ('{"components":{"s":{"A":[1,2],"B":[5,6],"A":[50,60]}}}', "components.s", "A"),
+            ('{"components":{"q":{"A":[{"x":1,"x":2}],"B":[1]}}}', "components.q.A[0]", "x"),
         ],
-        ids=["top", "components", "groups"],
+        ids=["top", "components", "groups", "array-element"],
     )
     def test_duplicate_key_cites_json_path(self, tmp_path, doc, where, key):
         with pytest.raises(ParseError, match=rf"d\.json: {re.escape(where)}: duplicate key '{key}'"):

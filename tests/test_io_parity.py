@@ -32,6 +32,8 @@ from sqfr.dataset import (
     dumps_json,
     load_csv,
     load_json,
+    save_csv,
+    save_json,
 )
 
 # --- oracles: one Python object per score --------------------------------
@@ -529,6 +531,47 @@ def test_dumps_json_matches_across_write_blocks():
     scores = np.random.default_rng(4).uniform(0, 100, 200_001)
     grouped = GroupedScores("q", {"A": scores, "B": scores[:7]})
     assert dumps_json(grouped) == oracle_dumps_json({"q": grouped})
+
+
+#: Components that save_csv and save_json must write exactly as the
+#: dumps_* functions text them.
+SAVE_CASES = {
+    "longer-than-a-write-block": lambda: {"q": GroupedScores("q", {
+        "A": np.random.default_rng(6).uniform(0, 100, 2 * sqfr.dataset._WRITE_BLOCK + 3),
+        "Å": [1.0],
+    })},
+    "labels-to-quote-or-escape": lambda: {
+        'q"uote, \\': GroupedScores('q"uote, \\', {"new\nline\r": [1.5], "ünï €": [2.5], "": [3.5]}),
+        "ctrl\x00\x1f": GroupedScores("ctrl\x00\x1f", {"\U0001f600\u2028": [4.0], "tab\t": []}),
+    },
+    "keys-that-are-not-str": lambda: {
+        1: GroupedScores(1, {2.5: [1.0], True: [2.0], None: [3.0], 7: [4.0], "7": [5.0]}),
+    },
+    "empty-collection": lambda: {},
+    "non-finite-scores": lambda: {
+        "q": GroupedScores("q", {"A": [np.nan, np.inf, -np.inf, 1.0], "B": [2.0]}),
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(SAVE_CASES))
+def test_save_writes_exactly_the_dumped_text(tmp_path, case, fmt):
+    dumps, save = {"csv": (dumps_csv, save_csv), "json": (dumps_json, save_json)}[fmt]
+    comps = SAVE_CASES[case]()
+    path = tmp_path / f"d.{fmt}"
+    save(comps, path)
+    assert path.read_bytes() == dumps(comps).encode("utf-8")
+
+
+def test_save_json_raises_the_dumps_type_error(tmp_path):
+    comps = {"q": GroupedScores("q", {("a",): [1.0]})}
+    with pytest.raises(TypeError) as dumped:
+        dumps_json(comps)
+    with pytest.raises(TypeError) as saved:
+        save_json(comps, tmp_path / "d.json")
+    assert str(saved.value) == str(dumped.value)
+    assert "keys must be str, int, float, bool or None, not tuple" in str(saved.value)
 
 
 # --- round trip -----------------------------------------------------------

@@ -25,7 +25,8 @@ from sqfr import (
     relevant_thresholds,
     sqfr,
 )
-from sqfr.dataset import Dataset, load_csv, load_json, save_csv, save_json
+from sqfr.dataset import Dataset, load_csv, load_json, save_csv, save_json, validate
+from sqfr.plotdata import build_plotdata
 from sqfr.report import build_report
 from sqfr.types import DiscardCurve
 
@@ -116,6 +117,37 @@ class TestValidation:
     def test_direct_calls_reject_invalid_scores(self, call):
         with pytest.raises(ValidationError, match="negative scores"):
             call(self.INVALID)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda gs: gs.validated(),
+            mean_aggregate,
+            median_aggregate,
+            lwm_aggregate,
+            relevant_thresholds,
+            observed_thresholds,
+            lambda gs: discard_curve(gs, [2.0]),
+            mdg_sqfr,
+            evaluate_component,
+            lambda gs: build_report(Dataset({"q": gs})),
+            lambda gs: build_plotdata(Dataset({"q": gs})),
+        ],
+        ids=["validated", "mean", "median", "lwm", "relevant", "observed", "discard", "mdg",
+             "evaluate", "report", "plotdata"],
+    )
+    def test_non_finite_scores_rejected(self, call, bad):
+        gs = grouped({"A": [1.0, bad], "B": [3.0]})
+        with pytest.raises(ValidationError, match="group 'A' contains non-finite scores"):
+            call(gs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_validate_reports_non_finite_scores(self, bad):
+        diags = validate(Dataset({"q": grouped({"A": [1.0, bad], "B": [3.0]})}))
+        assert [(d.severity, d.message) for d in diags] == [
+            ("error", "component 'q': group 'A' contains non-finite scores")
+        ]
 
     def test_report_checks_each_component_once(self, monkeypatch):
         calls = []
@@ -290,6 +322,14 @@ class TestThresholds:
         with pytest.raises(DomainError, match="positive"):
             relevant_thresholds(gs, step=0)
 
+    @pytest.mark.parametrize("step", [np.nan, np.inf])
+    def test_step_must_be_finite(self, step):
+        gs = grouped({"A": [1], "B": [2]})
+        with pytest.raises(DomainError, match="finite and positive"):
+            relevant_thresholds(gs, step=step)
+        with pytest.raises(DomainError, match="finite and positive"):
+            mdg_sqfr(gs, step=step, thresholds_mode="observed")
+
     def test_observed_mode_uses_distinct_scores_above_min(self):
         gs = grouped({"A": [1, 1, 4], "B": [2, 4]})
         assert observed_thresholds(gs).tolist() == [2, 4]
@@ -429,6 +469,13 @@ class TestEvaluateComponent:
         gs = grouped({"A": [1.0, 2.0], "B": [3.0, 5.0]})
         build_report(Dataset({"q": gs, "r": gs}))
         assert sorted(calls) == sorted(["mean_aggregate", "median_aggregate", "lwm_aggregate"] * 2)
+
+    def test_unknown_thresholds_mode_rejected(self):
+        gs = grouped({"A": [1], "B": [2]})
+        with pytest.raises(DomainError, match="unknown thresholds mode 'bogus'"):
+            mdg_sqfr(gs, thresholds_mode="bogus")
+        with pytest.raises(DomainError, match="unknown thresholds mode 'bogus'"):
+            evaluate_component(gs, thresholds_mode="bogus")
 
     def test_unknown_measure_rejected(self):
         gs = grouped({"A": [1], "B": [2]})

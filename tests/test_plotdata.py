@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -53,6 +54,18 @@ class TestEdges:
     def test_bad_width(self):
         with pytest.raises(ConfigError, match="positive"):
             histogram_edges(0, 1, bin_width=0)
+
+    @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf])
+    def test_width_must_be_finite(self, width):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            histogram_edges(0, 1, bin_width=width)
+
+    def test_too_many_bins_names_a_width_that_fits(self, monkeypatch):
+        monkeypatch.setattr("sqfr.plotdata.MAX_THRESHOLDS", 100)
+        with pytest.raises(ConfigError, match="more than 100 bins") as info:
+            histogram_edges(0.0, 1e12)
+        width = float(str(info.value).rsplit("raise the bin width above ", 1)[1])
+        assert 0 < histogram_edges(0.0, 1e12, bin_width=width * 1.000001).size - 1 <= 100
 
 
 class TestBuild:
@@ -107,6 +120,20 @@ class TestBuild:
             build_plotdata(ds, grid_points=1)
         with pytest.raises(ConfigError):
             build_plotdata(ds, bandwidth=-1.0)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"bin_width": math.nan}, "bin width must be finite and positive"),
+        ({"bin_width": math.inf}, "bin width must be finite and positive"),
+        ({"bandwidth": math.nan}, "bandwidth must be finite and positive"),
+        ({"bandwidth": math.inf}, "bandwidth must be finite and positive"),
+        ({"grid_points": 10_000_001}, "grid_points must be >= 2 and <= 10000000"),
+    ])
+    def test_non_finite_or_oversized_parameters_rejected(self, kwargs, match):
+        ds = make_dataset({"A": [1.0, 2.0], "B": [3.0, 5.0]})
+        with pytest.raises(ConfigError, match=match):
+            build_plotdata(ds, **kwargs)
+        with pytest.raises(ConfigError, match=match):
+            build_plotdata(Dataset({}), **kwargs)  # checked before any component
 
 
 class TestSerialization:

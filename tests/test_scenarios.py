@@ -183,6 +183,81 @@ class TestSpecValidation:
             ScenarioSpec.from_json_file(path)
 
 
+def valid_spec_doc():
+    return {
+        "name": "x",
+        "seed": 1,
+        "groups": [
+            {"label": "A", "distribution": "normal",
+             "parameters": {"mean": 50, "stddev": 2}, "sample_count": 5},
+            {"label": "B", "distribution": "mixture_of_normals",
+             "parameters": {"means": [40, 60], "stddevs": [1, 2], "weights": [0.5, 0.5]},
+             "sample_count": 5},
+            {"label": "C", "distribution": "constant",
+             "parameters": {"value": 3}, "sample_count": 5},
+        ],
+    }
+
+
+def spec_with(**changes):
+    """A valid spec document with top-level keys or one group's fields replaced."""
+    doc = valid_spec_doc()
+    for key, value in changes.items():
+        if key in ("A", "B", "C"):
+            group = next(g for g in doc["groups"] if g["label"] == key)
+            group.update(value)
+        else:
+            doc[key] = value
+    return doc
+
+
+#: Spec documents that from_dict must reject, with the ConfigError each raises.
+INVALID_SPECS = [
+    (spec_with(name=""), "scenario name must be non-empty"),
+    (spec_with(groups=[]), "has no groups"),
+    (spec_with(C={"label": "A"}), "labels must be unique and non-empty"),
+    (spec_with(C={"label": ""}), "labels must be unique and non-empty"),
+    (spec_with(clamp_range=[0, 0]), "clamp_range must be"),
+    (spec_with(clamp_range=[0, 1, 2]), "clamp_range must be"),
+    (spec_with(A={"distribution": "poisson"}), "unknown distribution 'poisson'"),
+    (spec_with(A={"sample_count": 0}), "sample_count must be >= 1"),
+    (spec_with(C={"parameters": {}}), "constant needs a non-negative 'value'"),
+    (spec_with(C={"parameters": {"value": -1}}), "constant needs a non-negative 'value'"),
+    (spec_with(A={"parameters": {"mean": 50}}), "normal needs 'mean' and 'stddev'"),
+    (spec_with(A={"parameters": {"mean": 50, "stddev": -1}}), "stddev must be >= 0"),
+    (spec_with(B={"parameters": {"means": [], "stddevs": [1], "weights": [1]}}),
+     "mixture needs non-empty list 'means'"),
+    (spec_with(B={"parameters": {"means": [1], "stddevs": 1, "weights": [1]}}),
+     "mixture needs non-empty list 'stddevs'"),
+    (spec_with(B={"parameters": {"means": [1, 2], "stddevs": [1], "weights": [1]}}),
+     "mixture parameter lists must have equal length"),
+    (spec_with(B={"parameters": {"means": [1, 2], "stddevs": [1, -1], "weights": [0.5, 0.5]}}),
+     "stddevs must be >= 0"),
+    (spec_with(B={"parameters": {"means": [1, 2], "stddevs": [1, 1], "weights": [1.5, -0.5]}}),
+     "non-negative and sum to 1"),
+    ({"name": "x", "seed": 1}, "malformed scenario spec: KeyError"),
+    (spec_with(seed="one"), "malformed scenario spec: ValueError"),
+    (spec_with(A={"sample_count": None}), "malformed scenario spec: TypeError"),
+]
+
+
+class TestSpecFromDict:
+    def test_valid_document(self):
+        spec = ScenarioSpec.from_dict(valid_spec_doc())
+        assert [g.label for g in spec.groups] == ["A", "B", "C"]
+
+    @pytest.mark.parametrize("doc, match", INVALID_SPECS, ids=[m for _, m in INVALID_SPECS])
+    def test_invalid_document(self, doc, match):
+        with pytest.raises(ConfigError, match=match):
+            ScenarioSpec.from_dict(doc)
+
+    def test_file_that_is_not_json(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text("name: x\nseed: 1\n")
+        with pytest.raises(ConfigError, match=r"spec\.json: invalid JSON"):
+            ScenarioSpec.from_json_file(path)
+
+
 class TestBuiltinScenarios:
     def test_catalog_names(self):
         assert set(builtin_scenarios()) == {"q1", "q2", "q3", "q5", "all-equal"}
