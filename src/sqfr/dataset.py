@@ -55,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ParseError, ValidationError
-from .types import GroupedScores, _ValidatedScores
+from .types import GroupedScores
 
 _FORBIDDEN_LABEL_CHARS = ('"', "\n", "\r")
 
@@ -395,7 +395,9 @@ def _first_repeat(node, where: str, repeated: dict):
 
 
 def _canonical_components(buckets, source: str) -> dict[str, GroupedScores]:
-    """Components in canonical form from per-(component, group) score buffers.
+    """Components in canonical form from per-(component, group) score buffers,
+    each made by ``GroupedScores.validated``; ValidationError names every
+    problem of every component.
 
     Each component's buffers are removed from ``buckets`` as it is made, so
     the two never hold the whole dataset at once.
@@ -407,9 +409,10 @@ def _canonical_components(buckets, source: str) -> dict[str, GroupedScores]:
     for cid in sorted(buckets):
         groups = buckets.pop(cid)
         loaded = GroupedScores(cid, {label: groups[label] for label in sorted(groups)})
-        problems.extend(loaded.problems())
-        # a component with problems is never handed out
-        components[cid] = _ValidatedScores(cid, loaded.groups)
+        try:
+            components[cid] = loaded.validated()
+        except ValidationError as exc:
+            problems.append(str(exc))
     if problems:
         raise ValidationError("; ".join(problems))
     return components
@@ -418,17 +421,20 @@ def _canonical_components(buckets, source: str) -> dict[str, GroupedScores]:
 def validate(dataset: Dataset) -> list[Diagnostic]:
     """Non-mutating health check; returns diagnostics instead of raising.
 
-    Errors are invariant breaches (possible on hand-built datasets; loaders
-    reject them at parse time). Warnings flag inputs that are legal but
-    deserve attention: strongly unbalanced group sizes, single-valued
-    components, and scores outside the conventional 0-100 scale.
+    Errors are invariant breaches, one per problem (possible on hand-built
+    datasets; loaders reject them at parse time). Warnings flag inputs that
+    are legal but deserve attention: strongly unbalanced group sizes,
+    single-valued components, and scores outside the conventional 0-100
+    scale. Each component goes through ``GroupedScores.validated``, so a
+    loaded one, already canonical, is not checked again.
     """
     out: list[Diagnostic] = []
     for cid, grouped in dataset.components.items():
         where = f"component '{cid}'"
-        problems = grouped.problems()
-        out.extend(Diagnostic("error", p) for p in problems)
-        if problems:
+        try:
+            grouped = grouped.validated()
+        except ValidationError:
+            out.extend(Diagnostic("error", p) for p in grouped.problems())
             continue
         sizes = grouped.group_sizes()
         ratio = max(sizes.values()) / min(sizes.values())
@@ -441,7 +447,7 @@ def validate(dataset: Dataset) -> list[Diagnostic]:
                     where,
                 )
             )
-        lo, hi = grouped.validated().pooled_range()
+        lo, hi = grouped.pooled_range()
         if lo == hi:
             out.append(
                 Diagnostic(

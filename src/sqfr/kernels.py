@@ -67,6 +67,12 @@ def low_weight_sums(scores, lo: float, hi: float) -> tuple[float, float]:
 def kde_gaussian(samples, grid, bandwidth: float) -> np.ndarray:
     """Gaussian kernel density estimate of ``samples`` evaluated on ``grid``.
 
+    Requires finite samples and grid and a bandwidth of at least the
+    smallest normal double (``sys.float_info.min``): below it the
+    normalization ``1 / (n * h * sqrt(2 pi))`` can overflow. A scaled
+    distance that overflows is harmless, as its kernel value ``exp(-inf)``
+    is exactly 0.
+
     The kernel is evaluated once per distinct sample value and weighted by
     that value's count, so repeated scores (integer scales) cost as much
     as one. The grid is processed in blocks to bound the (block x distinct
@@ -80,6 +86,8 @@ def kde_gaussian(samples, grid, bandwidth: float) -> np.ndarray:
     norm = 1.0 / (x.size * h * _SQRT_TWO_PI)
     block = max(1, _KDE_BLOCK_ELEMENTS // max(values.size, 1))
     for start in range(0, grid.size, block):
-        u = (grid[start : start + block, None] - values[None, :]) / h
-        out[start : start + block] = (np.exp(-0.5 * u * u) * counts).sum(axis=1) * norm
+        with np.errstate(over="ignore"):  # a distance overflowing to inf weighs exp(-inf) = 0
+            u = (grid[start : start + block, None] - values[None, :]) / h
+            kernel = np.exp(-0.5 * u * u)
+        out[start : start + block] = (kernel * counts).sum(axis=1) * norm
     return out

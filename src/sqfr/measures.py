@@ -90,11 +90,10 @@ def lwm_aggregate(scores: GroupedScores) -> GroupAggregates:
     """
     scores = scores.validated()
     lo, hi = scores.pooled_range()
+    if hi == lo:
+        return GroupAggregates("lwm", dict.fromkeys(scores.groups, lo))
     values: dict[str, float] = {}
     for label, g in scores.groups.items():
-        if hi == lo:
-            values[label] = lo
-            continue
         wsum, wqsum = kernels.low_weight_sums(g, lo, hi)
         if wsum == 0.0:
             values[label] = hi
@@ -208,7 +207,7 @@ def discard_curve(scores: GroupedScores, thresholds) -> DiscardCurve:
     """Fraction of each group's samples strictly below each threshold."""
     scores = scores.validated()
     thresholds = np.asarray(thresholds, dtype=np.float64).reshape(-1)
-    if thresholds.size > 1 and np.any(np.diff(thresholds) < 0):
+    if np.any(thresholds[1:] < thresholds[:-1]):
         raise DomainError("thresholds must be sorted ascending")
     fractions = {
         label: kernels.count_below(g, thresholds) / g.size for label, g in scores.groups.items()
@@ -269,30 +268,19 @@ def evaluate_component(
     instead of being computed again.
     """
     scores = scores.validated()
-    wanted = _normalize_measures(measures)
-    given = aggregates or {}
-    gini_cache: dict[str, float] = {}
-
-    def gc_for(kind: str) -> float:
-        if kind not in gini_cache:
-            if kind in given:
-                agg = given[kind]
-            else:
-                compute = {"mean": mean_aggregate, "median": median_aggregate,
-                           "lwm": lwm_aggregate}[kind]
-                agg = compute(scores)
-            gini_cache[kind] = gini_coefficient(agg)
-        return gini_cache[kind]
-
+    aggregates = dict(aggregates or {})  # filled on demand; the caller's mapping is untouched
     out = []
-    for measure in wanted:
+    for measure in _normalize_measures(measures):
         if measure == "mdg_sqfr":
             out.append(mdg_sqfr(scores, step, thresholds_mode))
             continue
         kind, _, rate = measure.partition("_gc_")
-        gc = gc_for(kind)
-        value = sqfr(gc) if rate == "sqfr" else csqfr(gc)
-        out.append(FairnessScore(measure, value))
+        if kind not in aggregates:
+            # looked up per call, so a wrapped module attribute is the one called
+            compute = {"mean": mean_aggregate, "median": median_aggregate, "lwm": lwm_aggregate}
+            aggregates[kind] = compute[kind](scores)
+        gc = gini_coefficient(aggregates[kind])
+        out.append(FairnessScore(measure, sqfr(gc) if rate == "sqfr" else csqfr(gc)))
     return out
 
 

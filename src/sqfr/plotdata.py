@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,8 @@ _GRID_PAD = 3.0
 
 
 def silverman_bandwidth(values: np.ndarray) -> float:
-    """Rule-of-thumb KDE bandwidth; 0.0 when the sample is degenerate."""
+    """Rule-of-thumb KDE bandwidth; 0.0 when the sample is degenerate, or
+    when the bandwidth would be a subnormal double."""
     n = values.size
     if n < 2:
         return 0.0
@@ -40,9 +42,9 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     q1, q3 = np.quantile(values, [0.25, 0.75])
     iqr = float(q3 - q1)
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
-    if spread <= 0:
-        return 0.0
-    return 0.9 * spread * n ** (-0.2)
+    h = 0.9 * spread * n ** (-0.2)
+    # below the smallest normal double the kernel's normalization overflows
+    return h if h >= sys.float_info.min else 0.0
 
 
 def histogram_edges(lo: float, hi: float, bin_width: float = 1.0) -> np.ndarray:
@@ -104,6 +106,11 @@ def build_plotdata(
     _check_finite_positive("bin width", bin_width)
     if bandwidth is not None:
         _check_finite_positive("bandwidth", bandwidth)
+        if bandwidth < sys.float_info.min:
+            raise ConfigError(
+                f"bandwidth must be at least {sys.float_info.min!r}"
+                f" (the smallest normal double), got {bandwidth!r}"
+            )
     components = []
     warnings: list[Diagnostic] = []
     for cid, grouped in dataset.components.items():

@@ -58,6 +58,8 @@ class ScenarioSpec:
     quantize: bool = True
 
     def require_valid(self) -> None:
+        """Raise ConfigError naming the first field that is missing, of the
+        wrong type or out of range; ``generate`` calls it on every spec."""
         if not self.name:
             raise ConfigError("scenario name must be non-empty")
         if not self.groups:
@@ -65,7 +67,17 @@ class ScenarioSpec:
         labels = [g.label for g in self.groups]
         if len(set(labels)) != len(labels) or any(not l for l in labels):
             raise ConfigError(f"scenario '{self.name}': group labels must be unique and non-empty")
-        if len(self.clamp_range) != 2 or not (self.clamp_range[0] < self.clamp_range[1]):
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(
+                f"scenario '{self.name}': seed must be a non-negative integer, got {self.seed!r}"
+            )
+        if not isinstance(self.quantize, bool):
+            raise ConfigError(f"scenario '{self.name}': quantize must be true or false,"
+                              f" got {self.quantize!r}")
+        if len(self.clamp_range) != 2 or not all(map(_is_finite, self.clamp_range)):
+            raise ConfigError(f"scenario '{self.name}': clamp_range must be two finite numbers,"
+                              f" got {list(self.clamp_range)!r}")
+        if not (self.clamp_range[0] < self.clamp_range[1]):
             raise ConfigError(f"scenario '{self.name}': clamp_range must be [low, high] with low < high")
         for g in self.groups:
             where = f"scenario '{self.name}', group '{g.label}'"
@@ -74,6 +86,8 @@ class ScenarioSpec:
                     f"{where}: unknown distribution {g.distribution!r};"
                     f" expected one of {DISTRIBUTIONS}"
                 )
+            if not _is_int(g.sample_count):
+                raise ConfigError(f"{where}: sample_count must be an integer, got {g.sample_count!r}")
             if g.sample_count < 1:
                 raise ConfigError(f"{where}: sample_count must be >= 1")
             _check_parameters(where, g)
@@ -86,18 +100,18 @@ class ScenarioSpec:
                     label=g["label"],
                     distribution=g["distribution"],
                     parameters=dict(g.get("parameters", {})),
-                    sample_count=int(g["sample_count"]),
+                    sample_count=_int_like(g["sample_count"]),
                 )
                 for g in doc["groups"]
             ]
             spec = cls(
                 name=doc["name"],
                 groups=groups,
-                seed=int(doc["seed"]),
+                seed=_int_like(doc["seed"]),
                 clamp_range=tuple(doc.get("clamp_range", (0.0, 100.0))),
-                quantize=bool(doc.get("quantize", True)),
+                quantize=doc.get("quantize", True),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed scenario spec: {exc!r}") from None
         spec.require_valid()
         return spec
@@ -112,26 +126,53 @@ class ScenarioSpec:
         return cls.from_dict(doc)
 
 
+def _int_like(value):
+    """``value`` unchanged once ``int()`` accepts it, so text and null fail
+    as malformed here and ``require_valid`` names any other non-integer."""
+    int(value)
+    return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """Whether ``value`` is a finite int or float (a bool is not a number here)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _check_parameters(where: str, g: GroupSpec) -> None:
     p = g.parameters
     if g.distribution == "constant":
+        if "value" in p:
+            _require_finite(where, "value", [p["value"]])
         if "value" not in p or p["value"] < 0:
             raise ConfigError(f"{where}: constant needs a non-negative 'value'")
     elif g.distribution == "normal":
         if "mean" not in p or "stddev" not in p:
             raise ConfigError(f"{where}: normal needs 'mean' and 'stddev'")
+        for key in ("mean", "stddev"):
+            _require_finite(where, key, [p[key]])
         if p["stddev"] < 0:
             raise ConfigError(f"{where}: stddev must be >= 0")
     else:
         for key in ("means", "stddevs", "weights"):
             if key not in p or not isinstance(p[key], (list, tuple)) or not p[key]:
                 raise ConfigError(f"{where}: mixture needs non-empty list '{key}'")
+            _require_finite(where, key, p[key])
         if not (len(p["means"]) == len(p["stddevs"]) == len(p["weights"])):
             raise ConfigError(f"{where}: mixture parameter lists must have equal length")
         if any(s < 0 for s in p["stddevs"]):
             raise ConfigError(f"{where}: stddevs must be >= 0")
         if any(w < 0 for w in p["weights"]) or abs(sum(p["weights"]) - 1.0) > 1e-9:
             raise ConfigError(f"{where}: mixture weights must be non-negative and sum to 1")
+
+
+def _require_finite(where: str, key: str, values) -> None:
+    for value in values:
+        if not _is_finite(value):
+            raise ConfigError(f"{where}: parameter '{key}' must be a finite number, got {value!r}")
 
 
 def _uniforms(bitgen, count: int) -> np.ndarray:

@@ -36,9 +36,9 @@ class GroupedScores:
     ``groups`` is an ordered mapping from group label to a float64 array of
     scores. Arrays are converted on construction; treat them as immutable
     afterwards. Valid collections have at least two groups, at least one
-    score per group, and only finite non-negative scores; use
-    :meth:`problems` / :meth:`require_valid` to check.
-    The measures read them in the canonical form :meth:`validated` returns.
+    score per group, and only finite non-negative scores; :meth:`problems`
+    lists what breaks that. :meth:`validated` is the one gate: it is the
+    only way to the canonical form the measures read.
     """
 
     component_id: str
@@ -69,24 +69,22 @@ class GroupedScores:
                 out.append(f"component '{cid}': group '{label}' contains negative scores")
         return out
 
-    def require_valid(self) -> None:
-        problems = self.problems()
-        if problems:
-            raise ValidationError("; ".join(problems))
-
     def validated(self) -> _ValidatedScores:
         """These scores in canonical form: checked once, each group ascending
         and read-only, so no result depends on the order of a group's scores.
 
         A canonical collection, such as a loaded component, comes back as
-        itself. Any other gets one :meth:`require_valid`; then an ascending
-        group is kept as a read-only view and any other is sorted into a
-        read-only copy, with any -0 before any 0. The caller's arrays are
-        never sorted or frozen.
+        itself. Any other gets one :meth:`problems` pass, and any problems
+        raise one ValidationError, joined with "; ". Then an ascending group
+        is kept as a read-only view and any other is sorted into a read-only
+        copy, with any -0 before any 0. The caller's arrays are never sorted
+        or frozen.
         """
         if isinstance(self, _ValidatedScores):
             return self
-        self.require_valid()
+        problems = self.problems()
+        if problems:
+            raise ValidationError("; ".join(problems))
         return _ValidatedScores(self.component_id, self.groups)
 
     def union(self) -> np.ndarray:
@@ -107,8 +105,8 @@ class GroupedScores:
 
 
 class _ValidatedScores(GroupedScores):
-    """GroupedScores in canonical form, made only from checked scores (by
-    ``validated`` and the loaders); see GroupedScores.validated."""
+    """GroupedScores in canonical form. Only GroupedScores.validated makes
+    one, after the scores pass their check; the loaders go through it too."""
 
     def __post_init__(self):
         self.groups = {label: _canonical(scores) for label, scores in self.groups.items()}

@@ -127,7 +127,7 @@ class TestEval:
 
     @pytest.mark.parametrize("suffix", [".csv", ".json"])
     def test_eval_checks_each_component_at_most_twice(self, tmp_path, monkeypatch, capsys, suffix):
-        # once when loading, once in the diagnostics; build_report reuses the load's check
+        # once when loading; the diagnostics and build_report reuse the load's check
         path = tmp_path / f"d{suffix}"
         save = save_csv if suffix == ".csv" else save_json
         save({cid: singleton_component(cid, [1.0, 2.0, 4.0]) for cid in ("q1", "q2", "q3")}, path)
@@ -138,7 +138,7 @@ class TestEval:
         )
         assert main(["eval", "--input", str(path)]) == 0
         assert len(json.loads(capsys.readouterr().out)["components"]) == 3
-        assert sorted(calls) == ["q1", "q1", "q2", "q2", "q3", "q3"]
+        assert sorted(calls) == ["q1", "q2", "q3"]
 
     def test_precision_env_default(self, q2_csv, tmp_path):
         out = tmp_path / "r.csv"
@@ -172,6 +172,7 @@ class TestBadNumericParameters:
         (["plotdata", "--grid-points", "2000000000"], NARROW),
         (["plotdata"], WIDE),
         (["eval"], WIDE),
+        (["plotdata", "--bandwidth", "1e-320"], NARROW),
     ])
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv, data):
         path = tmp_path / "d.csv"
@@ -246,6 +247,22 @@ class TestSimulate:
         out = tmp_path / "x.csv"
         assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {spec}: invalid JSON")
+        assert not out.exists()
+
+    def test_mistyped_spec_field_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "x", "seed": 1,
+            "groups": [{"label": "A", "distribution": "normal",
+                        "parameters": {"mean": 50, "stddev": "x"}, "sample_count": 5}],
+        }))
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: scenario 'x', group 'A': parameter 'stddev' must be a finite number, got 'x'"
+        ]
         assert not out.exists()
 
     def test_json_output_format(self, tmp_path, capsys):

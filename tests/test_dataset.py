@@ -200,6 +200,15 @@ class TestLoadJson:
         with pytest.raises(ValidationError, match="group 'A' has no scores"):
             load_json(path)
 
+    def test_every_problem_of_every_component_in_one_message(self, tmp_path):
+        doc = '{"components":{"r":{"A":[1]},"q":{"A":[],"B":[1],"C":[]}}}'
+        with pytest.raises(ValidationError) as info:
+            load_json(write(tmp_path / "d.json", doc))
+        assert str(info.value) == (
+            "component 'q': group 'A' has no scores; component 'q': group 'C' has no scores;"
+            " component 'r': fairness needs at least 2 demographic groups (n >= 2 required, got 1)"
+        )
+
 
 class TestRoundTrip:
     def test_csv_roundtrip(self, tmp_path):
@@ -258,6 +267,16 @@ class TestValidate:
         diags = validate(ds)
         assert [d.severity for d in diags] == ["error"]
         assert "n >= 2 required" in diags[0].message
+
+    def test_each_problem_is_one_error_in_check_order(self):
+        bad = GroupedScores("q", {"A": [1.0, float("nan")], "B": []})
+        ds = Dataset({"q": bad, "r": GroupedScores("r", {"A": [5.0], "B": [5.0]})})
+        diags = validate(ds)
+        assert [(d.severity, d.message) for d in diags[:2]] == [
+            ("error", "component 'q': group 'A' contains non-finite scores"),
+            ("error", "component 'q': group 'B' has no scores"),
+        ]
+        assert [d.severity for d in diags[2:]] == ["warning"]  # r is still checked
 
     def test_unbalanced_groups_warning(self):
         ds = Dataset(

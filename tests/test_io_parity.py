@@ -442,6 +442,7 @@ JSON_CASES = {
     "negative-before-bool": '{"components":{"q":{"A":[2,-1,false],"B":[1]}}}',
     "bad-group-before-bad-component": '{"components":{"q":{"A":[-1],"B":[1]},"r":[]}}',
     "good-then-bad-group": '{"components":{"q":{"A":[1,2],"B":[3,"x"]}}}',
+    "two-invalid-components": '{"components":{"r":{"A":[1]},"q":{"A":[],"B":[1],"C":[]}}}',
 }
 
 

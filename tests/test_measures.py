@@ -456,6 +456,14 @@ class TestEvaluateComponent:
             monkeypatch.setattr(f"sqfr.measures.{name}", None)
         assert evaluate_component(gs, aggregates=given) == expected
 
+    def test_one_given_aggregate_and_a_subset_match_the_plain_call(self):
+        gs = grouped({"A": [1.0, 2.0, 9.0], "B": [3.0, 4.5], "C": [5.0, 0.25]})
+        subset = ["lwm_gc_csqfr", "median_gc_sqfr", "mean_gc_csqfr", "mdg_sqfr"]
+        given = {"median": median_aggregate(gs)}
+        got = evaluate_component(gs, measures=subset, aggregates=given)
+        assert got == evaluate_component(gs, measures=subset)
+        assert list(given) == ["median"]  # the caller's mapping is not filled in
+
     def test_report_computes_each_aggregate_once_per_component(self, monkeypatch):
         import sqfr.measures
 

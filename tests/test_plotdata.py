@@ -35,6 +35,8 @@ class TestBandwidth:
     def test_degenerate_cases(self):
         assert silverman_bandwidth(np.array([5.0])) == 0.0
         assert silverman_bandwidth(np.full(10, 3.0)) == 0.0
+        # a subnormal bandwidth would overflow the kernel's normalization
+        assert silverman_bandwidth(np.array([0.0, 0.0, 5e-324, 5e-324, 5e-324, 1.0])) == 0.0
 
     def test_zero_iqr_falls_back_to_sd(self):
         x = np.array([5.0] * 20 + [50.0])  # iqr 0, sd > 0
@@ -114,6 +116,12 @@ class TestBuild:
         for g in plot.components[0].groups:
             assert g.density["bandwidth"] == 2.5
 
+    def test_tiny_normal_bandwidth_is_finite_and_quiet(self, recwarn):
+        ds = make_dataset({"A": [1.0, 2.0], "B": [3.0, 5.0]})
+        for g in build_plotdata(ds, bandwidth=1e-300).components[0].groups:
+            assert np.all(np.isfinite(g.density["y"]))
+        assert len(recwarn) == 0
+
     def test_parameter_validation(self):
         ds = make_dataset({"A": [1.0], "B": [2.0]})
         with pytest.raises(ConfigError):
@@ -127,6 +135,7 @@ class TestBuild:
         ({"bandwidth": math.nan}, "bandwidth must be finite and positive"),
         ({"bandwidth": math.inf}, "bandwidth must be finite and positive"),
         ({"grid_points": 10_000_001}, "grid_points must be >= 2 and <= 10000000"),
+        ({"bandwidth": 1e-320}, "bandwidth must be at least 2.2250738585072014e-308"),
     ])
     def test_non_finite_or_oversized_parameters_rejected(self, kwargs, match):
         ds = make_dataset({"A": [1.0, 2.0], "B": [3.0, 5.0]})

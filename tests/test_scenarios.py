@@ -5,6 +5,7 @@ Values tagged "pinned:" were recorded once from the pinned generator
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -238,6 +239,15 @@ INVALID_SPECS = [
     ({"name": "x", "seed": 1}, "malformed scenario spec: KeyError"),
     (spec_with(seed="one"), "malformed scenario spec: ValueError"),
     (spec_with(A={"sample_count": None}), "malformed scenario spec: TypeError"),
+    (spec_with(A={"parameters": {"mean": 50, "stddev": "x"}}),
+     "parameter 'stddev' must be a finite number, got 'x'"),
+    (spec_with(clamp_range=[0, "100"]), "clamp_range must be two finite numbers"),
+    (spec_with(A={"parameters": {"mean": 50, "stddev": math.nan}}),
+     "parameter 'stddev' must be a finite number, got nan"),
+    (spec_with(A={"parameters": {"mean": math.inf, "stddev": 2}}),
+     "parameter 'mean' must be a finite number, got inf"),
+    (spec_with(quantize="false"), "quantize must be true or false"),
+    (spec_with(A={"sample_count": 2.9}), "sample_count must be an integer"),
 ]
 
 
@@ -250,6 +260,17 @@ class TestSpecFromDict:
     def test_invalid_document(self, doc, match):
         with pytest.raises(ConfigError, match=match):
             ScenarioSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("change, match", [
+        (lambda s: setattr(s, "seed", -1), "seed must be a non-negative integer"),
+        (lambda s: setattr(s.groups[0], "sample_count", True), "sample_count must be an integer"),
+        (lambda s: s.groups[1].parameters.update(stddev=False), "parameter 'stddev'"),
+    ])
+    def test_generate_checks_a_hand_built_spec(self, change, match):
+        spec = normal_spec()
+        change(spec)
+        with pytest.raises(ConfigError, match=match):
+            generate(spec)
 
     def test_file_that_is_not_json(self, tmp_path):
         path = tmp_path / "spec.json"
