@@ -117,9 +117,14 @@ def _load(args) -> dataset_io.Dataset:
             score_col=args.score_col,
             strict=args.strict,
         )
-    for diag in ds.provenance.warnings:
-        print(f"warning: {diag}", file=sys.stderr)
+    _print_diagnostics(ds.provenance.warnings)
     return ds
+
+
+def _print_diagnostics(diagnostics) -> None:
+    """The one place diagnostics reach stderr, each as '<severity>: <location>: <message>'."""
+    for diag in diagnostics:
+        print(f"{diag.severity}: {diag}", file=sys.stderr)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -148,8 +153,7 @@ def _cmd_eval(args) -> int:
     selected = report.parse_measure_list(args.measures)
     ds = _load(args)
     # a loaded component has passed its check, so these are warnings
-    for diag in dataset_io.validate(ds):
-        print(f"{diag.severity}: {diag}", file=sys.stderr)
+    _print_diagnostics(dataset_io.validate(ds))
     result = report.build_report(
         ds,
         selected=selected,
@@ -199,8 +203,7 @@ def _cmd_plotdata(args) -> int:
         grid_points=args.grid_points,
         bandwidth=args.bandwidth,
     )
-    for diag in plot.warnings:
-        print(f"warning: {diag}", file=sys.stderr)
+    _print_diagnostics(plot.warnings)
     _emit(plotdata.render(plot, args.format), args.out)
     return 0
 

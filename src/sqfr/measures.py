@@ -262,7 +262,8 @@ def evaluate_component(
     """All fairness measures for one quality component, in canonical order.
 
     ``measures`` restricts the output to a subset of :data:`ALL_MEASURES`
-    keys; aggregates are computed once per aggregator actually needed.
+    keys, chosen by :func:`select_measures`; aggregates are computed once
+    per aggregator actually needed.
     ``aggregates`` maps aggregator kinds to aggregates the caller already
     holds for these scores, such as a report summary's; they are used
     instead of being computed again.
@@ -270,7 +271,7 @@ def evaluate_component(
     scores = scores.validated()
     aggregates = dict(aggregates or {})  # filled on demand; the caller's mapping is untouched
     out = []
-    for measure in _normalize_measures(measures):
+    for measure in select_measures(measures):
         if measure == "mdg_sqfr":
             out.append(mdg_sqfr(scores, step, thresholds_mode))
             continue
@@ -282,6 +283,22 @@ def evaluate_component(
         gc = gini_coefficient(aggregates[kind])
         out.append(FairnessScore(measure, sqfr(gc) if rate == "sqfr" else csqfr(gc)))
     return out
+
+
+def select_measures(names: Iterable[str] | None = None) -> tuple[str, ...]:
+    """The measures to compute, as canonical keys in :data:`ALL_MEASURES` order.
+
+    None selects all six. Otherwise each key counts once, whatever its
+    position or repetition in ``names``; a name that is not a canonical key,
+    such as the hyphenated CLI spelling, raises DomainError.
+    """
+    if names is None:
+        return ALL_MEASURES
+    requested = set(names)
+    unknown = requested - set(ALL_MEASURES)
+    if unknown:
+        raise DomainError(f"unknown measures: {sorted(unknown)}; expected keys from {ALL_MEASURES}")
+    return tuple(m for m in ALL_MEASURES if m in requested)
 
 
 def _check_step(step: float) -> None:
@@ -296,13 +313,3 @@ def _thresholds_for(scores: GroupedScores, step: float, mode: str) -> np.ndarray
     if mode == "observed":
         return observed_thresholds(scores)
     return relevant_thresholds(scores, step)
-
-
-def _normalize_measures(measures: Iterable[str] | None) -> tuple[str, ...]:
-    if measures is None:
-        return ALL_MEASURES
-    requested = set(measures)
-    unknown = requested - set(ALL_MEASURES)
-    if unknown:
-        raise DomainError(f"unknown measures: {sorted(unknown)}; expected keys from {ALL_MEASURES}")
-    return tuple(m for m in ALL_MEASURES if m in requested)

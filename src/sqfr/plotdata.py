@@ -151,26 +151,9 @@ def build_plotdata(
 
 
 def to_json(plot: PlotData) -> str:
-    doc = {
-        "metadata": plot.metadata,
-        "components": [
-            {
-                "component": c.component,
-                "bin_edges": c.bin_edges,
-                "groups": [
-                    {
-                        "label": g.label,
-                        "count": g.count,
-                        "counts": g.counts,
-                        "density": g.density,
-                    }
-                    for g in c.groups
-                ],
-            }
-            for c in plot.components
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    # the dataclass fields, read shallowly: asdict would deep-copy every float
+    components = [{**vars(c), "groups": [vars(g) for g in c.groups]} for c in plot.components]
+    return json.dumps({"metadata": plot.metadata, "components": components}, indent=2) + "\n"
 
 
 def to_csv(plot: PlotData) -> str:

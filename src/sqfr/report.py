@@ -47,7 +47,7 @@ def parse_measure_list(spec: str | None) -> tuple[str, ...] | None:
     keys = [measure_key(part) for part in spec.split(",") if part.strip()]
     if not keys:
         raise ConfigError("empty measure list")
-    return tuple(m for m in ALL_MEASURES if m in set(keys))
+    return measures.select_measures(keys)
 
 
 @dataclass
@@ -80,8 +80,14 @@ def build_report(
     precision: int = 3,
     input_path: str | None = None,
 ) -> FairnessReport:
-    """Evaluate every component of the dataset into one report."""
-    keys = tuple(selected) if selected is not None else ALL_MEASURES
+    """Evaluate every component of the dataset into one report.
+
+    ``selected`` names canonical measure keys; :func:`measures.select_measures`
+    drops repeats and puts them in canonical order, which every render
+    follows. An unknown key raises DomainError before any component is
+    evaluated.
+    """
+    keys = measures.select_measures(selected)
     components = []
     for cid, grouped in dataset.components.items():
         grouped = grouped.validated()
@@ -129,18 +135,16 @@ def to_json(report: FairnessReport) -> str:
 
 def to_csv(report: FairnessReport) -> str:
     precision = report.metadata["precision"]
-    keys = [measure_key(m) for m in report.metadata["measures"]]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["component"] + [cli_measure_name(k) for k in keys])
+    writer.writerow(["component"] + report.metadata["measures"])
     for c in report.components:
-        writer.writerow([c.component] + [f"{c.measures[k]:.{precision}f}" for k in keys])
+        writer.writerow([c.component] + [f"{v:.{precision}f}" for v in c.measures.values()])
     return buf.getvalue()
 
 
 def to_markdown(report: FairnessReport) -> str:
     precision = report.metadata["precision"]
-    keys = [measure_key(m) for m in report.metadata["measures"]]
     lines = ["# Fairness report", ""]
     lines += [f"- {k}: {v}" for k, v in report.metadata.items() if k != "measures"]
     for c in report.components:
@@ -153,8 +157,8 @@ def to_markdown(report: FairnessReport) -> str:
                 f" | {g.median:.{precision}f} | {g.lwm:.{precision}f} |"
             )
         lines += ["", "| measure | value |", "| --- | --- |"]
-        for k in keys:
-            lines.append(f"| {cli_measure_name(k)} | {c.measures[k]:.{precision}f} |")
+        for k, v in c.measures.items():
+            lines.append(f"| {cli_measure_name(k)} | {v:.{precision}f} |")
     return "\n".join(lines) + "\n"
 
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from sqfr import ConfigError, Dataset, GroupedScores
+from sqfr import ConfigError, Dataset, DomainError, GroupedScores, measures
 from sqfr.report import (
     build_report,
     cli_measure_name,
@@ -67,6 +67,29 @@ class TestBuild:
         result = build_report(dataset, selected=("mean_gc_sqfr", "mdg_sqfr"))
         assert list(result.components[0].measures) == ["mean_gc_sqfr", "mdg_sqfr"]
         assert result.metadata["measures"] == ["mean-gc-sqfr", "mdg-sqfr"]
+
+    def test_repeated_and_reordered_selection_lists_each_measure_once(self, dataset):
+        result = build_report(dataset, selected=["mdg_sqfr", "mean_gc_sqfr", "mdg_sqfr"])
+        names = ["mean-gc-sqfr", "mdg-sqfr"]
+        assert result.metadata["measures"] == names
+        assert all(list(c.measures) == ["mean_gc_sqfr", "mdg_sqfr"] for c in result.components)
+        doc = json.loads(to_json(result))
+        assert doc["metadata"]["measures"] == names
+        assert all(list(c["measures"]) == names for c in doc["components"])
+        assert to_csv(result).splitlines()[0] == "component,mean-gc-sqfr,mdg-sqfr"
+        cli_names = {cli_measure_name(k) for k in ALL_MEASURES}
+        cells = [line.split(" | ")[0].removeprefix("| ") for line in to_markdown(result).splitlines()]
+        assert [cell for cell in cells if cell in cli_names] == names * len(result.components)
+
+    @pytest.mark.parametrize("key", ["mean_gc", "mean-gc-sqfr"])
+    def test_unknown_key_raises_before_any_component(self, dataset, monkeypatch, key):
+        calls = []
+        original = measures.mean_aggregate
+        monkeypatch.setattr(measures, "mean_aggregate",
+                            lambda scores: calls.append(scores) or original(scores))
+        with pytest.raises(DomainError, match="unknown measures"):
+            build_report(dataset, selected=["mdg_sqfr", key])
+        assert calls == []
 
 
 class TestSerialization:
