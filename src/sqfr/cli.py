@@ -143,8 +143,7 @@ def _resolve_precision(value: int | None) -> int:
             value = int(raw)
         except ValueError:
             raise ConfigError(f"{PRECISION_ENV}={raw!r} is not an integer") from None
-    if value < 0:
-        raise ConfigError(f"precision must be >= 0, got {value}")
+    report.check_precision(value)
     return value
 
 

@@ -360,8 +360,7 @@ def _json_scores(values: list, where: str) -> np.ndarray:
         else:
             if scores.size == 0 or (scores.min() >= 0.0 and scores.max() <= _FLOAT_MAX):
                 return scores
-    # the same checks one element at a time, to cite the first bad one
-    parsed = []
+    # every list the fast path refuses holds a bad element: find the first, to cite it
     for idx, value in enumerate(values):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParseError(f"{where}[{idx}]: expected a number")
@@ -373,8 +372,7 @@ def _json_scores(values: list, where: str) -> np.ndarray:
             raise ParseError(f"{where}[{idx}]: score is not finite")
         if score < 0:
             raise ParseError(f"{where}[{idx}]: negative score {value}")
-        parsed.append(score)
-    return np.array(parsed, dtype=np.float64)
+    raise AssertionError(f"{where}: no bad element in a list the fast path refused")
 
 
 def _first_repeat(node, where: str, repeated: dict):

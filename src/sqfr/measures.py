@@ -14,7 +14,6 @@ therefore influence these measures only through the aggregates themselves
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -28,6 +27,7 @@ from .types import (
     GroupAggregates,
     GroupedScores,
     as_value_array,
+    is_finite_number,
 )
 
 THRESHOLD_MODES = ("sequence", "observed")
@@ -301,15 +301,22 @@ def select_measures(names: Iterable[str] | None = None) -> tuple[str, ...]:
     return tuple(m for m in ALL_MEASURES if m in requested)
 
 
+def check_sweep(step: float, mode: str = "sequence") -> None:
+    """Raise DomainError unless ``mode`` is one of :data:`THRESHOLD_MODES` and
+    ``step`` a finite positive int or float (a bool is not a number here).
+    A report records both, whether or not it sweeps."""
+    if mode not in THRESHOLD_MODES:
+        raise DomainError(f"unknown thresholds mode {mode!r}; expected one of {THRESHOLD_MODES}")
+    _check_step(step)
+
+
 def _check_step(step: float) -> None:
-    if not 0 < step < math.inf:  # false for nan
-        raise DomainError(f"threshold step must be finite and positive, got {step}")
+    if not (is_finite_number(step) and step > 0):
+        raise DomainError(f"threshold step must be finite and positive, got {step!r}")
 
 
 def _thresholds_for(scores: GroupedScores, step: float, mode: str) -> np.ndarray:
-    if mode not in THRESHOLD_MODES:
-        raise DomainError(f"unknown thresholds mode {mode!r}; expected one of {THRESHOLD_MODES}")
-    _check_step(step)  # also in observed mode, where reports still record the step
+    check_sweep(step, mode)
     if mode == "observed":
         return observed_thresholds(scores)
     return relevant_thresholds(scores, step)

@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__, kernels
 from .dataset import Dataset, Diagnostic
 from .errors import ConfigError
-from .measures import MAX_THRESHOLDS
+from .measures import MAX_THRESHOLDS, _scale_free
+from .types import is_finite_number, is_int
 
 FORMATS = ("json", "csv")
 
@@ -34,7 +35,18 @@ _GRID_PAD = 3.0
 
 def silverman_bandwidth(values: np.ndarray) -> float:
     """Rule-of-thumb KDE bandwidth; 0.0 when the sample is degenerate, or
-    when the bandwidth would be a subnormal double."""
+    when the bandwidth would be a subnormal double.
+
+    The bandwidth scales with the scores, so it takes the overflow rule of
+    the mean: computed directly, and in units of the largest score only
+    when that is not finite.
+    """
+    h = _scale_free(_silverman, values)
+    # below the smallest normal double the kernel's normalization overflows
+    return h if h >= sys.float_info.min else 0.0
+
+
+def _silverman(values: np.ndarray) -> float:
     n = values.size
     if n < 2:
         return 0.0
@@ -42,9 +54,7 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     q1, q3 = np.quantile(values, [0.25, 0.75])
     iqr = float(q3 - q1)
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
-    h = 0.9 * spread * n ** (-0.2)
-    # below the smallest normal double the kernel's normalization overflows
-    return h if h >= sys.float_info.min else 0.0
+    return 0.9 * spread * n ** (-0.2)
 
 
 def histogram_edges(lo: float, hi: float, bin_width: float = 1.0) -> np.ndarray:
@@ -63,8 +73,8 @@ def histogram_edges(lo: float, hi: float, bin_width: float = 1.0) -> np.ndarray:
 
 
 def _check_finite_positive(name: str, value: float) -> None:
-    if not 0 < value < math.inf:  # false for nan
-        raise ConfigError(f"{name} must be finite and positive, got {value}")
+    if not (is_finite_number(value) and value > 0):  # a bool is not a number here
+        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass
@@ -101,6 +111,8 @@ def build_plotdata(
     ``GroupedScores.validated``, so a component that fails its check raises
     ValidationError and no series depends on the order of a group's scores.
     """
+    if not is_int(grid_points):
+        raise ConfigError(f"grid_points must be an integer, got {grid_points!r}")
     if not 2 <= grid_points <= MAX_THRESHOLDS:
         raise ConfigError(f"grid_points must be >= 2 and <= {MAX_THRESHOLDS}, got {grid_points}")
     _check_finite_positive("bin width", bin_width)
@@ -119,25 +131,26 @@ def build_plotdata(
         groups = []
         for label, values in grouped.groups.items():
             counts, _ = np.histogram(values, bins=edges)
+            where = f"component '{cid}' group '{label}'"
             h = bandwidth if bandwidth is not None else silverman_bandwidth(values)
+            # Python floats: a grid end beyond the double range is inf, with no warning
+            lo, hi = float(values[0]) - _GRID_PAD * h, float(values[-1]) + _GRID_PAD * h
             density = None
-            if h > 0:
-                x = np.linspace(
-                    float(values[0]) - _GRID_PAD * h,
-                    float(values[-1]) + _GRID_PAD * h,
-                    grid_points,
-                )
+            if h > 0 and math.isfinite(hi - lo):
+                x = np.linspace(lo, hi, grid_points)
                 y = kernels.kde_gaussian(values, x, h)
                 density = {"x": x.tolist(), "y": y.tolist(), "bandwidth": h}
-            else:
-                warnings.append(
-                    Diagnostic(
-                        "warning",
-                        "degenerate bandwidth (single-valued or singleton group),"
-                        " density omitted",
-                        f"component '{cid}' group '{label}'",
-                    )
+            elif h > 0 and bandwidth is not None:
+                raise ConfigError(
+                    f"{where}: bandwidth {bandwidth!r} puts the density grid beyond the"
+                    " float range; choose a smaller bandwidth"
                 )
+            else:
+                reason = (
+                    "degenerate bandwidth (single-valued or singleton group)" if h == 0
+                    else f"Silverman bandwidth {h!r} puts the density grid beyond the float range"
+                )
+                warnings.append(Diagnostic("warning", f"{reason}, density omitted", where))
             groups.append(GroupPlot(label, int(values.size), counts.tolist(), density))
         components.append(ComponentPlot(cid, edges.tolist(), groups))
     metadata = {

@@ -22,7 +22,7 @@ from typing import Iterable
 from . import __version__, measures
 from .dataset import Dataset
 from .errors import ConfigError
-from .types import ALL_MEASURES
+from .types import ALL_MEASURES, is_int
 
 FORMATS = ("json", "csv", "markdown")
 
@@ -48,6 +48,15 @@ def parse_measure_list(spec: str | None) -> tuple[str, ...] | None:
     if not keys:
         raise ConfigError("empty measure list")
     return measures.select_measures(keys)
+
+
+def check_precision(precision: int) -> None:
+    """Raise ConfigError unless ``precision``, the decimal places of csv and
+    markdown output, is an int >= 0 (a bool is not an int here)."""
+    if not is_int(precision):
+        raise ConfigError(f"precision must be an integer, got {precision!r}")
+    if precision < 0:
+        raise ConfigError(f"precision must be >= 0, got {precision}")
 
 
 @dataclass
@@ -84,10 +93,13 @@ def build_report(
 
     ``selected`` names canonical measure keys; :func:`measures.select_measures`
     drops repeats and puts them in canonical order, which every render
-    follows. An unknown key raises DomainError before any component is
-    evaluated.
+    follows. The measures, the sweep and the precision are checked before
+    any component is evaluated, so an unknown key raises DomainError and a
+    bad parameter never reaches the output.
     """
     keys = measures.select_measures(selected)
+    measures.check_sweep(threshold_step, thresholds_mode)
+    check_precision(precision)
     components = []
     for cid, grouped in dataset.components.items():
         grouped = grouped.validated()

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .measures import csqfr, gini_coefficient, sqfr
-from .types import GroupedScores
+from .types import GroupedScores, is_finite_number, is_int
 
 DISTRIBUTIONS = ("normal", "mixture_of_normals", "constant")
 
@@ -67,14 +67,14 @@ class ScenarioSpec:
         labels = [g.label for g in self.groups]
         if len(set(labels)) != len(labels) or any(not l for l in labels):
             raise ConfigError(f"scenario '{self.name}': group labels must be unique and non-empty")
-        if not _is_int(self.seed) or self.seed < 0:
+        if not is_int(self.seed) or self.seed < 0:
             raise ConfigError(
                 f"scenario '{self.name}': seed must be a non-negative integer, got {self.seed!r}"
             )
         if not isinstance(self.quantize, bool):
             raise ConfigError(f"scenario '{self.name}': quantize must be true or false,"
                               f" got {self.quantize!r}")
-        if len(self.clamp_range) != 2 or not all(map(_is_finite, self.clamp_range)):
+        if len(self.clamp_range) != 2 or not all(map(is_finite_number, self.clamp_range)):
             raise ConfigError(f"scenario '{self.name}': clamp_range must be two finite numbers,"
                               f" got {list(self.clamp_range)!r}")
         if not (self.clamp_range[0] < self.clamp_range[1]):
@@ -86,7 +86,7 @@ class ScenarioSpec:
                     f"{where}: unknown distribution {g.distribution!r};"
                     f" expected one of {DISTRIBUTIONS}"
                 )
-            if not _is_int(g.sample_count):
+            if not is_int(g.sample_count):
                 raise ConfigError(f"{where}: sample_count must be an integer, got {g.sample_count!r}")
             if g.sample_count < 1:
                 raise ConfigError(f"{where}: sample_count must be >= 1")
@@ -133,15 +133,6 @@ def _int_like(value):
     return value
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """Whether ``value`` is a finite int or float (a bool is not a number here)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
 def _check_parameters(where: str, g: GroupSpec) -> None:
     p = g.parameters
     if g.distribution == "constant":
@@ -171,7 +162,7 @@ def _check_parameters(where: str, g: GroupSpec) -> None:
 
 def _require_finite(where: str, key: str, values) -> None:
     for value in values:
-        if not _is_finite(value):
+        if not is_finite_number(value):
             raise ConfigError(f"{where}: parameter '{key}' must be a finite number, got {value!r}")
 
 

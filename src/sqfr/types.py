@@ -8,6 +8,7 @@ but are otherwise unconstrained (the conventional scale is 0-100).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -178,3 +179,17 @@ def as_value_array(values: GroupAggregates | Mapping[str, float] | Iterable[floa
     if isinstance(values, Mapping):
         values = values.values()
     return np.asarray(list(values), dtype=np.float64)
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is an int; a bool is not a number here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is an int or float within the finite double range; a
+    bool is not a number here. An int is compared exactly, never converted,
+    so one beyond the range is rejected instead of overflowing."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max  # false for nan

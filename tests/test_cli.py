@@ -173,6 +173,8 @@ class TestBadNumericParameters:
         (["plotdata"], WIDE),
         (["eval"], WIDE),
         (["plotdata", "--bandwidth", "1e-320"], NARROW),
+        (["plotdata", "--bandwidth", "1e308"], NARROW),
+        (["eval", "--measures", "mean-gc-sqfr", "--threshold-step", "nan"], NARROW),
     ])
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv, data):
         path = tmp_path / "d.csv"

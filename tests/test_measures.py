@@ -322,7 +322,8 @@ class TestThresholds:
         with pytest.raises(DomainError, match="positive"):
             relevant_thresholds(gs, step=0)
 
-    @pytest.mark.parametrize("step", [np.nan, np.inf])
+    @pytest.mark.parametrize("step", [np.nan, np.inf, 10**400, "1", True],
+                             ids=["nan", "inf", "int-beyond-float", "str", "bool"])
     def test_step_must_be_finite(self, step):
         gs = grouped({"A": [1], "B": [2]})
         with pytest.raises(DomainError, match="finite and positive"):

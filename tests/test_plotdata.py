@@ -122,6 +122,29 @@ class TestBuild:
             assert np.all(np.isfinite(g.density["y"]))
         assert len(recwarn) == 0
 
+    def test_overflowing_spread_keeps_densities_finite_and_quiet(self, recwarn):
+        # np.std of this group overflows; the bandwidth is taken in units of its maximum
+        ds = make_dataset({"A": [0.0] * 10 + [1e300], "B": [0.0, 1.0, 2.0]})
+        plot = build_plotdata(ds, bin_width=1e295)
+        for g in plot.components[0].groups:
+            assert 0 < g.density["bandwidth"] < math.inf
+            assert np.all(np.isfinite(g.density["x"])) and np.all(np.isfinite(g.density["y"]))
+        assert plot.warnings == [] and len(recwarn) == 0
+
+    def test_density_grid_beyond_float_range(self, recwarn):
+        ds = make_dataset({"A": [0.0, 1.7e308], "B": [0.0, 1.0, 2.0]})
+        plot = build_plotdata(ds, bin_width=1e302)
+        groups = {g.label: g for g in plot.components[0].groups}
+        assert groups["A"].density is None and groups["B"].density is not None
+        h = silverman_bandwidth(ds.components["q"].groups["A"])
+        assert [str(w) for w in plot.warnings] == [
+            f"component 'q' group 'A': Silverman bandwidth {h!r}"
+            " puts the density grid beyond the float range, density omitted"
+        ]
+        with pytest.raises(ConfigError, match="group 'A': bandwidth 1e\\+308 puts the density grid"):
+            build_plotdata(ds, bin_width=1e302, bandwidth=1e308)
+        assert len(recwarn) == 0
+
     def test_parameter_validation(self):
         ds = make_dataset({"A": [1.0], "B": [2.0]})
         with pytest.raises(ConfigError):
@@ -136,6 +159,11 @@ class TestBuild:
         ({"bandwidth": math.inf}, "bandwidth must be finite and positive"),
         ({"grid_points": 10_000_001}, "grid_points must be >= 2 and <= 10000000"),
         ({"bandwidth": 1e-320}, "bandwidth must be at least 2.2250738585072014e-308"),
+        ({"bin_width": "1"}, "bin width must be finite and positive, got '1'"),
+        ({"bin_width": True}, "bin width must be finite and positive, got True"),
+        ({"bandwidth": True}, "bandwidth must be finite and positive, got True"),
+        ({"grid_points": 2.5}, "grid_points must be an integer, got 2.5"),
+        ({"grid_points": True}, "grid_points must be an integer, got True"),
     ])
     def test_non_finite_or_oversized_parameters_rejected(self, kwargs, match):
         ds = make_dataset({"A": [1.0, 2.0], "B": [3.0, 5.0]})

@@ -92,6 +92,23 @@ class TestBuild:
         assert calls == []
 
 
+    @pytest.mark.parametrize("kwargs, error, match", [
+        ({"precision": -1}, ConfigError, "precision must be >= 0, got -1"),
+        ({"precision": 2.0}, ConfigError, "precision must be an integer, got 2.0"),
+        ({"precision": True}, ConfigError, "precision must be an integer, got True"),
+        ({"threshold_step": "1"}, DomainError, "threshold step must be finite and positive, got '1'"),
+        ({"threshold_step": True}, DomainError, "threshold step must be finite and positive, got True"),
+        ({"threshold_step": float("nan"), "selected": ["mean_gc_sqfr"]}, DomainError,
+         "threshold step must be finite and positive, got nan"),
+        ({"thresholds_mode": "all"}, DomainError, "unknown thresholds mode 'all'"),
+    ])
+    def test_bad_parameter_raises_before_any_component(self, dataset, monkeypatch, kwargs,
+                                                       error, match):
+        monkeypatch.setattr(measures, "mean_aggregate", None)  # any evaluation fails untyped
+        with pytest.raises(error, match=match):
+            build_report(dataset, **kwargs)
+
+
 class TestSerialization:
     def test_json_is_deterministic(self, dataset):
         a = to_json(build_report(dataset, input_path="d.csv"))

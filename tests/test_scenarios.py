@@ -248,6 +248,8 @@ INVALID_SPECS = [
      "parameter 'mean' must be a finite number, got inf"),
     (spec_with(quantize="false"), "quantize must be true or false"),
     (spec_with(A={"sample_count": 2.9}), "sample_count must be an integer"),
+    (spec_with(A={"parameters": {"mean": 10**400, "stddev": 2}}),
+     "parameter 'mean' must be a finite number, got 1000"),
 ]
 
 
