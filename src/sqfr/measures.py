@@ -98,7 +98,9 @@ def lwm_aggregate(scores: GroupedScores) -> GroupAggregates:
         if wsum == 0.0:
             values[label] = hi
         elif np.isfinite(wqsum):
-            values[label] = wqsum / wsum
+            # the products of subnormal scores round, which can take the
+            # weighted mean below its group; it never lies there
+            values[label] = max(wqsum / wsum, float(g[0]))
         else:
             # the weighted sum itself exceeds the float range; the weights
             # are scale-free, so weigh the scores in units of the maximum

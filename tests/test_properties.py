@@ -138,6 +138,7 @@ class TestExtremeMagnitudes:
                 assert got[1] == math.inf
 
     @given(extreme_groups)
+    @example(GroupedScores("q", {"A": [0.0], "B": [1e-323, 5e-324]}))  # w * q rounds to 0
     @settings(max_examples=300, deadline=None)
     def test_lwm_within_each_groups_range(self, grouped):
         for label, value in lwm_aggregate(grouped).values.items():
