@@ -122,7 +122,7 @@ def _load(args) -> dataset_io.Dataset:
 
 
 def _print_diagnostics(diagnostics) -> None:
-    """The one place diagnostics reach stderr, each as '<severity>: <location>: <message>'."""
+    """Write each diagnostic to stderr as '<severity>: <diagnostic>'; no other code does."""
     for diag in diagnostics:
         print(f"{diag.severity}: {diag}", file=sys.stderr)
 

@@ -303,7 +303,7 @@ def select_measures(names: Iterable[str] | None = None) -> tuple[str, ...]:
     return tuple(m for m in ALL_MEASURES if m in requested)
 
 
-def check_sweep(step: float, mode: str = "sequence") -> None:
+def check_sweep(step: float, mode: str) -> None:
     """Raise DomainError unless ``mode`` is one of :data:`THRESHOLD_MODES` and
     ``step`` a finite positive int or float (a bool is not a number here).
     A report records both, whether or not it sweeps."""

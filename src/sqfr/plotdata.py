@@ -5,8 +5,10 @@ caller prefers. Histogram bins share integer-aligned unit-width edges
 across the groups of a component so the groups are directly comparable.
 Densities are Gaussian kernel estimates with Silverman's rule-of-thumb
 bandwidth 0.9 * min(sd, IQR/1.34) * n^(-1/5) (the IQR candidate is ignored
-when zero); a group whose bandwidth degenerates to zero gets a histogram
-only, plus a warning.
+when zero). A group whose Silverman bandwidth degenerates to zero, or puts
+its density grid beyond the float range, gets a histogram only, plus a
+warning; a given bandwidth that puts a grid beyond that range raises
+ConfigError.
 """
 
 from __future__ import annotations
