@@ -4,6 +4,8 @@ Expected values tagged "oracle:" were computed with the literal definition
 (double-loop Gini, hand-counted discard fractions) and frozen here.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -424,6 +426,20 @@ class TestMdgSqfr:
         assert score.measure == "mdg_sqfr"
         assert score.value == 0.5  # single observed threshold at 3; gap 0.5
 
+    def test_observed_sweep_holds_little_beside_its_thresholds(self):
+        # the sweep keeps the thresholds and one gap array; building a whole
+        # discard curve held one fraction array per group as well
+        rng = np.random.default_rng(7)
+        gs = grouped({f"g{i}": rng.random(100_000) * 100 for i in range(5)}).validated()
+        threshold_bytes = observed_thresholds(gs).nbytes
+        tracemalloc.start()
+        try:
+            mdg_sqfr(gs, thresholds_mode="observed")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * threshold_bytes
+
 
 class TestEvaluateComponent:
     def test_q2_aggregates_as_singletons(self):
@@ -434,6 +450,16 @@ class TestEvaluateComponent:
     def test_all_equal_groups_all_measures_one(self):
         gs = grouped({l: [87.5] for l in "ABCDE"})
         scores = evaluate_component(gs)
+        assert len(scores) == 6
+        assert all(s.value == 1.0 for s in scores)
+
+    @pytest.mark.parametrize("mode", ["sequence", "observed"])
+    @pytest.mark.parametrize("score", [0.0, 5e-324, 1e-300, 0.1, 87.3, 1e308])
+    def test_one_repeated_score_in_groups_of_any_size_is_perfectly_fair(self, score, mode):
+        # a mean of repeated scores can round away from them: 0.1 three times
+        # sums to 0.30000000000000004
+        gs = grouped({"A": [score] * 3, "B": [score], "C": [score] * 7})
+        scores = evaluate_component(gs, thresholds_mode=mode)
         assert len(scores) == 6
         assert all(s.value == 1.0 for s in scores)
 

@@ -3,6 +3,7 @@
 import math
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from sqfr import (
     lwm_aggregate,
     mdg,
     mean_aggregate,
+    measures,
     median_aggregate,
     observed_thresholds,
     relevant_thresholds,
@@ -139,6 +141,9 @@ class TestExtremeMagnitudes:
 
     @given(extreme_groups)
     @example(GroupedScores("q", {"A": [0.0], "B": [1e-323, 5e-324]}))  # w * q rounds to 0
+    @example(  # subnormal weights round, which took g1's LWM above its maximum
+        GroupedScores("q", {"g0": [2.13411854e-308], "g1": [1e-300, np.nextafter(1e-300, 1)]})
+    )
     @settings(max_examples=300, deadline=None)
     def test_lwm_within_each_groups_range(self, grouped):
         for label, value in lwm_aggregate(grouped).values.items():
@@ -263,6 +268,44 @@ class TestDiscardProperties:
         want = discard_recount(grouped, ts)
         assert [fr.tolist() for fr in curve.fractions.values()] == want.tolist()
         assert mdg(curve) == pytest.approx(mdg_recount(grouped, ts), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, measures._SWEEP_BLOCK])
+    @given(
+        st.one_of(
+            grouped_strategy(max_groups=4),
+            grouped_strategy(integers=True),
+            # few distinct values: ties across groups, -0 beside 0, groups
+            # of one score, and groups wholly below or above a block
+            st.lists(
+                st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.5, 7.0]), min_size=1, max_size=8),
+                min_size=2,
+                max_size=5,
+            ).map(lambda gs: GroupedScores("q", {f"g{i}": g for i, g in enumerate(gs)})),
+        ),
+        st.sampled_from(
+            [("observed", 1.0), ("sequence", 1.0), ("sequence", 0.5), ("sequence", 0.3)]
+        ),
+    )
+    @example(
+        GroupedScores("q", {"A": [3.0], "B": [1.0, 2.0, 3.0, 3.0, 5.0], "C": [0.5, 3.0]}),
+        ("observed", 1.0),
+    )
+    @example(
+        GroupedScores("q", {"A": [-0.0, 0.0, 0.0], "B": [0.0, 1.0], "C": [2.0]}), ("sequence", 1.0)
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fused_sweep_equals_the_discard_curve(self, block, grouped, sweep):
+        mode, step = sweep
+        grouped = grouped.validated()
+        if mode == "observed":
+            ts = observed_thresholds(grouped)
+        else:
+            ts = relevant_thresholds(grouped, step)
+        assume(ts.size > 0)
+        with mock.patch.object(measures, "_SWEEP_BLOCK", block):
+            got = measures._mean_discard_gap(grouped, ts)
+        assert got == mdg(discard_curve(grouped, ts))  # exactly, not approximately
+        assert got == pytest.approx(mdg_recount(grouped, ts), rel=1e-12, abs=1e-15)
 
     @given(grouped_strategy(max_groups=2, integers=True))
     @settings(max_examples=150, deadline=None)
