@@ -152,6 +152,11 @@ def load_csv(
 
 def _read_header(reader, path: Path, group_col, component_col, score_col, sample_col):
     """(name, index) of the group, component and score columns of the header row."""
+    if len({group_col, component_col, score_col}) < 3:
+        raise ConfigError(
+            f"{path}: the group, component and score columns must be three different"
+            f" columns; got {group_col!r}, {component_col!r} and {score_col!r}"
+        )
     header = next(reader, None)
     if header is None:
         raise ParseError(f"{path}: empty file, expected a header row")

@@ -28,20 +28,27 @@ def count_below(sorted_scores, thresholds) -> np.ndarray:
     place the discard predicate lives: a threshold equal to the smallest
     score discards nothing.
 
-    The smaller array is binary-searched into the larger one, so the cost
-    is O(m log M) for m = min and M = max of the two sizes, plus one pass
-    over the thresholds when the scores are the fewer.
+    Two binary searches find the window of scores from the first threshold
+    to the last; scores below it count at every threshold, those above at
+    none. The smaller of the window and the thresholds is binary-searched
+    into the larger: O(m log M) for m = min and M = max of their sizes,
+    plus one pass over the thresholds when the window is the smaller.
     """
     scores = _c1d(sorted_scores)
     thresholds = _c1d(thresholds)
-    if scores.size >= thresholds.size:
-        counts = np.searchsorted(scores, thresholds, side="left")
+    if thresholds.size == 0:
+        return np.empty(0, dtype=np.int64)
+    below, end = scores.searchsorted(thresholds[[0, -1]])
+    window = scores[below:end]
+    if window.size >= thresholds.size:
+        counts = np.searchsorted(window, thresholds, side="left")
     else:
         # j(x) is the index of the first threshold above x, and x < t_k
         # exactly when j(x) <= k: count[k] is the cumulative count of j
-        above = np.searchsorted(thresholds, scores, side="right")
+        above = np.searchsorted(thresholds, window, side="right")
         counts = np.bincount(above, minlength=thresholds.size + 1)[:thresholds.size]
         np.cumsum(counts, out=counts)
+    counts += below
     return counts.astype(np.int64, copy=False)  # already int64 where intp is 64-bit
 
 

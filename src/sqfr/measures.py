@@ -40,7 +40,7 @@ _STEP_RTOL = 1e-9
 #: a proportionally larger step, not an unbounded allocation.
 MAX_THRESHOLDS = 10_000_000
 
-#: Thresholds per block of the fused discard sweep in _mean_discard_gap.
+#: Thresholds per block of the discard sweep in _mean_discard_gap.
 #: Larger blocks time alike and hold more; much smaller ones pay numpy's
 #: per-call cost once per group and block.
 _SWEEP_BLOCK = 8192
@@ -225,8 +225,8 @@ def discard_curve(scores: GroupedScores, thresholds) -> DiscardCurve:
     """Fraction of each group's samples strictly below each threshold."""
     scores = scores.validated()
     thresholds = np.asarray(thresholds, dtype=np.float64).reshape(-1)
-    if np.any(thresholds[1:] < thresholds[:-1]):
-        raise DomainError("thresholds must be sorted ascending")
+    if np.isnan(thresholds).any() or np.any(thresholds[1:] < thresholds[:-1]):
+        raise DomainError("thresholds must be sorted ascending and not NaN")
     fractions = {
         label: kernels.count_below(g, thresholds) / g.size for label, g in scores.groups.items()
     }
@@ -239,49 +239,43 @@ def mdg(curve: DiscardCurve) -> float:
     Only the extreme groups matter at each threshold; groups between them
     never change the gap.
     """
-    if curve.thresholds.size == 0:
+    n = curve.thresholds.size
+    if n == 0:
         raise DomainError("mean discard gap needs at least one threshold")
     if len(curve.fractions) < 2:
         raise DomainError("mean discard gap needs at least 2 groups")
-    # running extremes, so no (groups x thresholds) stack is built
-    rows = iter(curve.fractions.values())
-    first = np.asarray(next(rows), dtype=np.float64)
-    hi, lo = first.copy(), first.copy()
+    rows = [np.asarray(row, dtype=np.float64) for row in curve.fractions.values()]
+    if any(row.shape != (n,) for row in rows):
+        raise DomainError(f"each group's discard fractions must hold one value per threshold ({n})")
+    return float(_gaps(rows, np.empty(n)).mean())
+
+
+def _gaps(rows: Iterable, out: np.ndarray) -> np.ndarray:
+    """Write the max minus the min of the equal-length ``rows`` into ``out``,
+    folding in one row at a time from the first: no (rows x length) stack."""
+    rows = iter(rows)
+    out[:] = next(rows)
+    lo = out.copy()
     for row in rows:
-        np.maximum(hi, row, out=hi)
+        np.maximum(out, row, out=out)
         np.minimum(lo, row, out=lo)
-    hi -= lo  # the gap at each threshold
-    return float(hi.mean())
+    out -= lo
+    return out
 
 
 def _mean_discard_gap(scores: GroupedScores, ts: np.ndarray) -> float:
     """``mdg(discard_curve(scores, ts))``, bit for bit, without the curve.
 
     ``scores`` is canonical and ``ts`` a non-empty ascending sweep. The
-    thresholds are taken in blocks of :data:`_SWEEP_BLOCK`; in each block
-    every group's fractions are counted and folded into the running max
-    and min at once, so the gap is the only array as long as the sweep.
+    thresholds are taken in blocks of :data:`_SWEEP_BLOCK`, and each
+    block's gaps are folded from its fraction rows, so the gap is the only
+    array as long as the sweep.
     """
     gap = np.empty(ts.size)
-    lo_buf = np.empty(min(ts.size, _SWEEP_BLOCK))
-    frac_buf = np.empty_like(lo_buf)
     for start in range(0, ts.size, _SWEEP_BLOCK):
         block = ts[start:start + _SWEEP_BLOCK]
-        hi = gap[start:start + block.size]
-        lo, frac = lo_buf[:block.size], frac_buf[:block.size]
-        hi.fill(0.0)  # fractions lie in [0, 1], so these start the max and min
-        lo.fill(1.0)
-        for g in scores.groups.values():
-            # scores below the block count at all its thresholds, scores at
-            # or above its last threshold at none
-            a = g.searchsorted(block[0])
-            b = g.searchsorted(block[-1])
-            counts = kernels.count_below(g[a:b], block)
-            counts += a
-            np.divide(counts, g.size, out=frac)
-            np.maximum(hi, frac, out=hi)
-            np.minimum(lo, frac, out=lo)
-        hi -= lo
+        rows = (kernels.count_below(g, block) / g.size for g in scores.groups.values())
+        _gaps(rows, gap[start:start + block.size])
     return float(gap.mean())  # the pairwise sum over the whole gap, as in mdg
 
 
@@ -294,7 +288,9 @@ def mdg_sqfr(
     separate the groups, which is perfect fairness: 1.0.
     """
     scores = scores.validated()
-    ts = _thresholds_for(scores, step, thresholds_mode)
+    check_sweep(step, thresholds_mode)
+    observed = thresholds_mode == "observed"
+    ts = observed_thresholds(scores) if observed else relevant_thresholds(scores, step)
     if ts.size == 0:
         return FairnessScore("mdg_sqfr", 1.0)
     value = 1.0 - _mean_discard_gap(scores, ts)
@@ -363,9 +359,3 @@ def _check_step(step: float) -> None:
     if not (is_finite_number(step) and step > 0):
         raise DomainError(f"threshold step must be finite and positive, got {step!r}")
 
-
-def _thresholds_for(scores: GroupedScores, step: float, mode: str) -> np.ndarray:
-    check_sweep(step, mode)
-    if mode == "observed":
-        return observed_thresholds(scores)
-    return relevant_thresholds(scores, step)

@@ -118,11 +118,24 @@ class ScenarioSpec:
 
     @classmethod
     def from_json_file(cls, path) -> "ScenarioSpec":
+        """The spec in a UTF-8 JSON file; ConfigError for bytes that are not
+        UTF-8, invalid JSON or a key repeated within one object."""
+
+        def unique_keys(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise ConfigError(f"{path}: duplicate key {key!r}")
+                seen.add(key)
+            return dict(pairs)
+
         with open(path, encoding="utf-8") as fh:
             try:
-                doc = json.load(fh)
+                doc = json.load(fh, object_pairs_hook=unique_keys)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+            except UnicodeDecodeError as exc:  # the whole file is decoded at once
+                raise ConfigError(f"{path}: invalid UTF-8 at byte {exc.start}") from None
         return cls.from_dict(doc)
 
 

@@ -251,6 +251,28 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(f"error: {spec}: invalid JSON")
         assert not out.exists()
 
+    def test_spec_not_utf8_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b'{"name": "x\xff"}')
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {spec}: invalid UTF-8 at byte 11"]
+        assert not out.exists()
+
+    def test_spec_with_a_repeated_key_exits_2(self, tmp_path, capsys):
+        # json.load alone would keep the last seed and run with it
+        spec = tmp_path / "spec.json"
+        group = {"label": "A", "distribution": "constant", "parameters": {"value": 1},
+                 "sample_count": 5}
+        spec.write_text(
+            '{"name": "x", "seed": 1, "seed": 2, "groups": [%s, %s]}'
+            % (json.dumps(group), json.dumps({**group, "label": "B"}))
+        )
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {spec}: duplicate key 'seed'"]
+        assert not out.exists()
+
     def test_mistyped_spec_field_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({

@@ -18,6 +18,7 @@ from sqfr import (
     save_json,
     validate,
 )
+from sqfr.cli import main
 from sqfr.dataset import dumps_csv, dumps_json
 from sqfr.report import build_report, to_json
 
@@ -136,6 +137,28 @@ class TestLoadCsv:
         text = "group,component,score,group\nA,s,1,X\nB,s,2,Y\n"
         with pytest.raises(ConfigError, match="'group' appear more than once"):
             load_csv(write(tmp_path / "d.csv", text))
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {"group_col": "score"},
+            {"group_col": "component"},
+            {"component_col": "score"},
+            {"group_col": "x", "component_col": "x", "score_col": "x"},
+        ],
+    )
+    def test_one_column_named_for_two_roles_is_config_error(self, tmp_path, columns):
+        # grouping by the score column would report one group per distinct score
+        text = "group,component,score,x\nA,q,1,a\nB,q,2,b\n"
+        with pytest.raises(ConfigError, match="must be three different columns"):
+            load_csv(write(tmp_path / "d.csv", text), **columns)
+
+    def test_one_column_named_for_two_roles_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path / "d.csv", "group,component,score\nA,q,1\nB,q,2\n")
+        assert main(["eval", "--input", str(path), "--group-col", "score"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be three different columns" in captured.err
 
 
 class TestLoadJson:

@@ -48,6 +48,17 @@ class TestCountBelow:
             ([0.0, 0.0], [0.0, 0.0, 0.0, 1e308]),  # all scores at zero
             ([1.0, 2.0, 3.0, 4.0], [-1.0, 0.0, 5.0]),  # fewer thresholds, outside the scores
             ([], [1.0, 2.0]),  # no scores
+            # a narrow band of thresholds inside the scores, its window of
+            # scores fewer than the thresholds, then more
+            ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0], [4.5, 5.5]),
+            ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0], [2.5, 7.5]),
+            ([5.0, 6.0, 7.0], [0.0, 1.0, 2.0, 3.0]),  # band below every score
+            ([1.0, 2.0, 3.0], [4.0, 5.0]),  # band above every score
+            ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [6.5]),  # one threshold above every score
+            # band ends equal to repeated scores, window more and fewer than the thresholds
+            ([1.0, 2.0, 2.0, 2.0, 3.0, 4.0, 4.0, 4.0, 5.0], [2.0, 3.0, 4.0]),
+            ([1.0, 2.0, 2.0, 3.0, 3.0, 4.0], [2.0, 2.5, 3.0, 3.0, 3.5, 3.5, 3.5]),
+            ([2.0, 2.0, 2.0], [2.0]),  # the band is one threshold at every score
         ],
     )
     def test_ties_and_edges(self, scores, thresholds):

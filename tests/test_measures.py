@@ -369,6 +369,13 @@ class TestDiscard:
         with pytest.raises(DomainError, match="sorted"):
             discard_curve(gs, [3, 2])
 
+    @pytest.mark.parametrize("thresholds", [[np.nan], [1.5, np.nan, 3.5], [np.nan, 1.0]])
+    def test_nan_thresholds_rejected(self, thresholds):
+        # no order holds a NaN, so its counts (and its neighbours') would be arbitrary
+        gs = grouped({"A": [1.0, 2.0, 3.0], "B": [2.0, 3.0, 4.0]})
+        with pytest.raises(DomainError, match="not NaN"):
+            discard_curve(gs, thresholds)
+
     def test_fractions_monotone(self):
         rng = np.random.default_rng(3)
         gs = grouped({l: rng.integers(0, 100, 37).astype(float) for l in "ABC"})
@@ -407,6 +414,28 @@ class TestMdg:
         curve = DiscardCurve(np.array([1.0]), {"A": np.array([0.5])})
         with pytest.raises(DomainError, match="2 groups"):
             mdg(curve)
+
+    def test_hand_built_rows_fold_from_the_first_row(self):
+        # values outside [0, 1]: the running extremes cannot start at 0 and 1
+        rows = {"A": [2.0, -1.0, 0.75], "B": [1.5, -3.0, 0.25]}
+        thresholds = np.array([1.0, 2.0, 3.0])
+        as_arrays = DiscardCurve(thresholds, {k: np.array(v) for k, v in rows.items()})
+        assert mdg(DiscardCurve(thresholds, rows)) == 1.0  # gaps 0.5, 2 and 0.5
+        assert mdg(as_arrays) == 1.0
+        assert as_arrays.fractions["A"].tolist() == rows["A"]  # the rows are not written
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            {"A": [0.1, 0.2], "B": [0.3]},  # numpy would broadcast the one value
+            {"A": [0.1, 0.2], "B": [0.3, 0.4, 0.5]},
+            {"A": [0.1], "B": [0.3, 0.4]},
+            {"A": [[0.1, 0.2]], "B": [0.3, 0.4]},
+        ],
+    )
+    def test_rows_not_matching_the_thresholds_rejected(self, rows):
+        with pytest.raises(DomainError, match="one value per threshold"):
+            mdg(DiscardCurve(np.array([1.0, 2.0]), rows))
 
 
 class TestMdgSqfr:
