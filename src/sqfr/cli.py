@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, dataset as dataset_io, plotdata, report, scenarios
 from .errors import ConfigError, DomainError, ParseError, ValidationError
-from .measures import THRESHOLD_MODES
+from .measures import THRESHOLD_MODES, _scale_free
 
 PRECISION_ENV = "SQFR_PRECISION"
 
@@ -187,9 +187,8 @@ def _cmd_simulate(args) -> int:
     lines = [f"wrote {args.out} (scenario '{spec.name}', seed {spec.seed})"]
     lines.append("group  count  mean     median")
     for label, values in grouped.groups.items():
-        lines.append(
-            f"{label:<6} {values.size:<6d} {values.mean():<8.3f} {float(np.median(values)):<8.3f}"
-        )
+        mean, median = _scale_free(np.mean, values), _scale_free(np.median, values)
+        lines.append(f"{label:<6} {values.size:<6d} {mean:<8.3f} {median:<8.3f}")
     print("\n".join(lines))
     return 0
 

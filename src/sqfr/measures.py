@@ -40,7 +40,8 @@ _STEP_RTOL = 1e-9
 #: a proportionally larger step, not an unbounded allocation.
 MAX_THRESHOLDS = 10_000_000
 
-#: Thresholds per block of the discard sweep in _mean_discard_gap.
+#: Thresholds per block of the sequence sweep in _mean_discard_gap, and
+#: merged positions per block of the observed sweep in _observed_discard_gap.
 #: Larger blocks time alike and hold more; much smaller ones pay numpy's
 #: per-call cost once per group and block.
 _SWEEP_BLOCK = 8192
@@ -71,15 +72,16 @@ def _median(g: np.ndarray) -> float:
 def _scale_free(stat, g: np.ndarray) -> float:
     """``stat(g)`` for a statistic that scales with its input, such as the mean.
 
-    Finite non-negative scores near the float maximum can overflow the
-    intermediate sums; only then is the statistic taken in units of the
-    largest score, so ordinary inputs keep their exact rounding.
+    Finite scores near the float maximum can overflow the intermediate sums;
+    only then is the statistic taken in units of the largest magnitude, so
+    ordinary inputs keep their exact rounding. Scores may be negative
+    (simulated samples clamped below zero), and need not be sorted.
     """
     with np.errstate(over="ignore"):
         value = float(stat(g))
     if np.isfinite(value):
         return value
-    top = float(g.max())
+    top = float(np.abs(g).max())
     return float(stat(g / top)) * top
 
 
@@ -193,12 +195,13 @@ def relevant_thresholds(scores: GroupedScores, step: float = 1.0) -> np.ndarray:
     span = hi - lo
     if span <= 0:
         return np.empty(0, dtype=np.float64)
-    count = int(np.floor(span / step + _STEP_RTOL))
+    count = np.floor(span / step + _STEP_RTOL)  # a float, inf for a subnormal step
     if count > MAX_THRESHOLDS:
         raise DomainError(
-            f"threshold sweep would need {count} points (span {span:g}, step {step:g});"
+            f"threshold sweep would need {count:.3g} points (span {span:g}, step {step:g});"
             f" raise the step above {span / MAX_THRESHOLDS:g}"
         )
+    count = int(count)
     out = lo + step * np.arange(1, count + 1, dtype=np.float64)
     if count == 0 or abs(out[-1] - hi) > _STEP_RTOL * max(1.0, abs(hi)):
         out = np.append(out, hi)
@@ -279,6 +282,63 @@ def _mean_discard_gap(scores: GroupedScores, ts: np.ndarray) -> float:
     return float(gap.mean())  # the pairwise sum over the whole gap, as in mdg
 
 
+def _observed_discard_gap(scores: GroupedScores) -> float:
+    """``mdg(discard_curve(scores, observed_thresholds(scores)))``, bit for
+    bit, from one stable sort of the pooled scores; 0.0 when they are all equal.
+
+    ``scores`` is canonical. In the merged order, each run of equal scores
+    below the top one ends just before an observed threshold, and a group's
+    discard count there is the running count of its label. The counts are
+    taken in blocks of :data:`_SWEEP_BLOCK` positions, each group's carried
+    from block to block, and each block's fraction rows are folded into its
+    thresholds' gaps.
+    """
+    labels, ends = _merged_runs(scores)
+    if ends.size == 0:
+        return 0.0
+    sizes = [g.size for g in scores.groups.values()]
+    below = np.zeros(len(sizes), dtype=np.int64)
+    gap = np.empty(ends.size)
+    for start in range(0, int(ends[-1]) + 1, _SWEEP_BLOCK):
+        block = labels[start:start + _SWEEP_BLOCK]
+        first, last = ends.searchsorted([start, start + block.size])
+        _gaps(_discard_rows(block, ends[first:last] - start, below, sizes), gap[first:last])
+    return float(gap.mean())  # the pairwise sum over the whole gap, as in mdg
+
+
+def _merged_runs(scores: GroupedScores) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, ends) of the pooled scores of canonical ``scores`` in ascending
+    order: each position's group index, and the last position of each run of
+    equal scores but the top one.
+
+    The stable argsort merges the ascending groups; a -0 and a 0 compare
+    equal, so they share a run, as they share a threshold.
+    """
+    pooled = scores.union()
+    order = np.argsort(pooled, kind="stable")
+    sizes = [g.size for g in scores.groups.values()]
+    label = np.arange(len(sizes), dtype=np.min_scalar_type(len(sizes) - 1))
+    labels = np.repeat(label, sizes)[order]
+    # the ordered scores take the index array's buffer, a block at a time, so
+    # no third array as long as the pool is held
+    ordered = order.view(np.float64)
+    for start in range(0, order.size, _SWEEP_BLOCK):
+        ordered[start:start + _SWEEP_BLOCK] = pooled[order[start:start + _SWEEP_BLOCK]]
+    del pooled
+    return labels, np.flatnonzero(ordered[1:] != ordered[:-1])
+
+
+def _discard_rows(block: np.ndarray, at: np.ndarray, below: np.ndarray, sizes: list[int]):
+    """Each group's discard fractions at the positions ``at`` of the label
+    ``block``, one row at a time. ``below`` holds each group's count before the
+    block and is advanced past it as the group's row is made."""
+    for g, size in enumerate(sizes):
+        count = np.cumsum(block == g, dtype=np.int64)
+        count += below[g]
+        below[g] = count[-1]
+        yield count[at] / size
+
+
 def mdg_sqfr(
     scores: GroupedScores, step: float = 1.0, thresholds_mode: str = "sequence"
 ) -> FairnessScore:
@@ -289,12 +349,12 @@ def mdg_sqfr(
     """
     scores = scores.validated()
     check_sweep(step, thresholds_mode)
-    observed = thresholds_mode == "observed"
-    ts = observed_thresholds(scores) if observed else relevant_thresholds(scores, step)
-    if ts.size == 0:
-        return FairnessScore("mdg_sqfr", 1.0)
-    value = 1.0 - _mean_discard_gap(scores, ts)
-    return FairnessScore("mdg_sqfr", min(max(value, 0.0), 1.0))
+    if thresholds_mode == "observed":
+        gap = _observed_discard_gap(scores)
+    else:
+        ts = relevant_thresholds(scores, step)
+        gap = _mean_discard_gap(scores, ts) if ts.size else 0.0
+    return FairnessScore("mdg_sqfr", min(max(1.0 - gap, 0.0), 1.0))
 
 
 def evaluate_component(

@@ -164,8 +164,9 @@ def to_markdown(report: FairnessReport) -> str:
         lines.append("| group | count | mean | median | lwm |")
         lines.append("| --- | --- | --- | --- | --- |")
         for g in c.groups:
+            label = g.label.replace("|", r"\|")  # a bare | would end the cell
             lines.append(
-                f"| {g.label} | {g.count} | {g.mean:.{precision}f}"
+                f"| {label} | {g.count} | {g.mean:.{precision}f}"
                 f" | {g.median:.{precision}f} | {g.lwm:.{precision}f} |"
             )
         lines += ["", "| measure | value |", "| --- | --- |"]

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import sqfr
@@ -288,6 +289,36 @@ class TestSimulate:
             "error: scenario 'x', group 'A': parameter 'stddev' must be a finite number, got 'x'"
         ]
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_summary_of_scores_near_the_float_maximum_is_finite(self, tmp_path, capsys):
+        # sums of these scores overflow; numpy would print inf and warn
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "huge", "seed": 1, "clamp_range": [-1.7e308, 1.7e308],
+            "groups": [
+                {"label": "A", "distribution": "constant", "parameters": {"value": 1.6e308},
+                 "sample_count": 4},
+                {"label": "B", "distribution": "normal",
+                 "parameters": {"mean": -1.6e308, "stddev": 0}, "sample_count": 2},
+                # scaled by its largest score, -1, this group would overflow again
+                {"label": "C", "distribution": "mixture_of_normals",
+                 "parameters": {"means": [-1.6e308, -1.0], "stddevs": [0, 0],
+                                "weights": [0.5, 0.5]}, "sample_count": 8},
+            ],
+        }))
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+        summary = {label: (float(mean), float(median)) for label, _, mean, median in rows}
+        c = np.array([float(line.split(",")[2]) for line in out.read_text().splitlines()
+                      if line.startswith("huge,C,")])
+        assert 0 < np.count_nonzero(c == -1.0) < c.size  # both modes drawn
+        assert summary == {
+            "A": (1.6e308, 1.6e308),
+            "B": (-1.6e308, -1.6e308),
+            "C": (float(np.mean(c / 1.6e308)) * 1.6e308, float(np.median(c / 1.6e308)) * 1.6e308),
+        }
 
     def test_json_output_format(self, tmp_path, capsys):
         data = tmp_path / "q5.json"

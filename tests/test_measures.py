@@ -342,6 +342,14 @@ class TestThresholds:
         with pytest.raises(DomainError, match="raise the step"):
             relevant_thresholds(gs)
 
+    @pytest.mark.parametrize("top, step, points", [(1.6e308, 1.0, "1.6e+308"),
+                                                   (100.0, 5e-324, "inf")])
+    def test_oversized_sweep_names_its_point_count_in_three_digits(self, top, step, points):
+        gs = grouped({"A": [0.0], "B": [top]})
+        with pytest.raises(DomainError, match="raise the step") as info:
+            relevant_thresholds(gs, step=step)
+        assert f"would need {points} points" in str(info.value)
+
 
 class TestDiscard:
     def test_hand_counts(self):
@@ -454,6 +462,14 @@ class TestMdgSqfr:
         score = mdg_sqfr(gs, thresholds_mode="observed")
         assert score.measure == "mdg_sqfr"
         assert score.value == 0.5  # single observed threshold at 3; gap 0.5
+
+    def test_observed_sweep_over_more_groups_than_a_byte_counts(self):
+        # a group index stored in a signed byte would wrap above 127 groups
+        rng = np.random.default_rng(3)
+        gs = grouped({f"g{i}": rng.integers(0, 40, rng.integers(1, 9)) for i in range(300)})
+        ts = observed_thresholds(gs)
+        score = mdg_sqfr(gs, thresholds_mode="observed")
+        assert score.value == 1.0 - mdg(discard_curve(gs, ts))
 
     def test_observed_sweep_holds_little_beside_its_thresholds(self):
         # the sweep keeps the thresholds and one gap array; building a whole

@@ -18,6 +18,7 @@ from sqfr import (
     kernels,
     lwm_aggregate,
     mdg,
+    mdg_sqfr,
     mean_aggregate,
     measures,
     median_aggregate,
@@ -306,6 +307,38 @@ class TestDiscardProperties:
             got = measures._mean_discard_gap(grouped, ts)
         assert got == mdg(discard_curve(grouped, ts))  # exactly, not approximately
         assert got == pytest.approx(mdg_recount(grouped, ts), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, measures._SWEEP_BLOCK])
+    @given(
+        st.one_of(
+            grouped_strategy(max_groups=4),
+            grouped_strategy(integers=True),
+            # few distinct values, the float range's ends among them: ties
+            # across groups, -0 beside 0, and groups of one score
+            st.lists(
+                st.lists(
+                    st.sampled_from([-0.0, 0.0, 5e-324, 1.0, 2.0, 7.0, 1e308]),
+                    min_size=1,
+                    max_size=8,
+                ),
+                min_size=2,
+                max_size=5,
+            ).map(lambda gs: GroupedScores("q", {f"g{i}": g for i, g in enumerate(gs)})),
+            # every score equal: no threshold, perfectly fair
+            st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=4).map(
+                lambda ns: GroupedScores("q", {f"g{i}": [1.0] * n for i, n in enumerate(ns)})
+            ),
+        )
+    )
+    @example(GroupedScores("q", {"A": [-0.0], "B": [0.0, 0.0, 1.0], "C": [-0.0, 0.0, 1.0]}))
+    @example(GroupedScores("q", {"A": [1.0], "B": [1.0, 1.0]}))
+    @settings(max_examples=150, deadline=None)
+    def test_observed_sweep_equals_the_discard_curve(self, block, grouped):
+        ts = observed_thresholds(grouped)
+        want = 1.0 - mdg(discard_curve(grouped, ts)) if ts.size else 1.0
+        with mock.patch.object(measures, "_SWEEP_BLOCK", block):
+            got = mdg_sqfr(grouped, thresholds_mode="observed").value
+        assert got == want  # exactly, not approximately
 
     @given(grouped_strategy(max_groups=2, integers=True))
     @settings(max_examples=150, deadline=None)

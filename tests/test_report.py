@@ -142,6 +142,11 @@ class TestSerialization:
         assert "| mdg-sqfr |" in text
         assert "| A | 2 |" in text
 
+    def test_markdown_escapes_a_pipe_in_a_group_label(self):
+        report = build_report(Dataset({"c": GroupedScores("c", {"A|1": [2.0, 2.0], "B": [1.0]})}))
+        rows = [line for line in to_markdown(report).splitlines() if line.startswith("| A")]
+        assert rows == [r"| A\|1 | 2 | 2.000 | 2.000 | 2.000 |"]
+
     def test_render_dispatch(self, dataset):
         report = build_report(dataset)
         assert render(report, "json") == to_json(report)
