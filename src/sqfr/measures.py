@@ -40,8 +40,8 @@ _STEP_RTOL = 1e-9
 #: a proportionally larger step, not an unbounded allocation.
 MAX_THRESHOLDS = 10_000_000
 
-#: Thresholds per block of the sequence sweep in _mean_discard_gap, and
-#: merged positions per block of the observed sweep in _observed_discard_gap.
+#: Thresholds per block of the discard sweeps (_mean_discard_gap and
+#: _observed_discard_gap), and sorted scores per block of _run_indices.
 #: Larger blocks time alike and hold more; much smaller ones pay numpy's
 #: per-call cost once per group and block.
 _SWEEP_BLOCK = 8192
@@ -284,59 +284,86 @@ def _mean_discard_gap(scores: GroupedScores, ts: np.ndarray) -> float:
 
 def _observed_discard_gap(scores: GroupedScores) -> float:
     """``mdg(discard_curve(scores, observed_thresholds(scores)))``, bit for
-    bit, from one stable sort of the pooled scores; 0.0 when they are all equal.
+    bit, from one sort of the pooled scores; 0.0 when they are all equal.
 
-    ``scores`` is canonical. In the merged order, each run of equal scores
-    below the top one ends just before an observed threshold, and a group's
-    discard count there is the running count of its label. The counts are
-    taken in blocks of :data:`_SWEEP_BLOCK` positions, each group's carried
-    from block to block, and each block's fraction rows are folded into its
-    thresholds' gaps.
+    ``scores`` is canonical. Number the distinct pooled scores from 0 up, so
+    that the observed thresholds are the scores numbered 1 to T; a score's
+    number is its run index. A group's discard count at the threshold
+    numbered k is how many of its scores have a run index below k. Only each
+    group's distinct scores are sorted and numbered: in a group with ties,
+    the count of its distinct scores below k picks, through the position of
+    each one's first copy, the count of its scores. One bincount per group
+    and block of :data:`_SWEEP_BLOCK` thresholds gives the counts, and each
+    block's fraction rows are folded into its gaps, as in the sequence
+    sweep. Besides the sort this costs O(N + G*T) for N scores in G groups.
     """
-    labels, ends = _merged_runs(scores)
-    if ends.size == 0:
+    groups = list(scores.groups.values())
+    firsts = [_firsts(g) for g in groups]
+    runs = _run_indices([g if f is None else g[f[:-1]] for g, f in zip(groups, firsts)])
+    count = max(int(r[-1]) for r in runs)  # T, the top run index
+    if count == 0:
         return 0.0
-    sizes = [g.size for g in scores.groups.values()]
-    below = np.zeros(len(sizes), dtype=np.int64)
-    gap = np.empty(ends.size)
-    for start in range(0, int(ends[-1]) + 1, _SWEEP_BLOCK):
-        block = labels[start:start + _SWEEP_BLOCK]
-        first, last = ends.searchsorted([start, start + block.size])
-        _gaps(_discard_rows(block, ends[first:last] - start, below, sizes), gap[first:last])
+    gap = np.empty(count)
+    for start in range(1, count + 1, _SWEEP_BLOCK):
+        stop = min(start + _SWEEP_BLOCK, count + 1)
+        rows = (
+            _count_below_runs(r, f, start, stop) / g.size for g, f, r in zip(groups, firsts, runs)
+        )
+        _gaps(rows, gap[start - 1:stop - 1])
     return float(gap.mean())  # the pairwise sum over the whole gap, as in mdg
 
 
-def _merged_runs(scores: GroupedScores) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, ends) of the pooled scores of canonical ``scores`` in ascending
-    order: each position's group index, and the last position of each run of
-    equal scores but the top one.
+def _firsts(g: np.ndarray) -> np.ndarray | None:
+    """The position of the first copy of each distinct score of the ascending
+    ``g``, then ``g.size``: how many scores lie below each distinct score, and
+    below none. None when no two scores tie."""
+    rises = np.empty(g.size, dtype=bool)
+    rises[0] = True
+    np.not_equal(g[1:], g[:-1], out=rises[1:])
+    if rises.all():
+        return None
+    return np.append(np.flatnonzero(rises), g.size)
 
-    The stable argsort merges the ascending groups; a -0 and a 0 compare
-    equal, so they share a run, as they share a threshold.
+
+def _run_indices(groups: list[np.ndarray]) -> list[np.ndarray]:
+    """Per ascending array of ``groups``, the run index of each score: the
+    number of distinct scores of all the arrays below it. A -0 and a 0
+    compare equal, so they share an index, as they share a threshold.
+
+    The stable argsort of the pool merges the ascending arrays. The indices
+    take the pool's buffer, written block by block in the sorted order as
+    each block's scores are read, so besides the sort's index array no other
+    array as long as the pool is held.
     """
-    pooled = scores.union()
+    pooled = np.concatenate(groups)
     order = np.argsort(pooled, kind="stable")
-    sizes = [g.size for g in scores.groups.values()]
-    label = np.arange(len(sizes), dtype=np.min_scalar_type(len(sizes) - 1))
-    labels = np.repeat(label, sizes)[order]
-    # the ordered scores take the index array's buffer, a block at a time, so
-    # no third array as long as the pool is held
-    ordered = order.view(np.float64)
+    index = pooled.view(np.int64)
+    top, last = 0, pooled[order[0]]
     for start in range(0, order.size, _SWEEP_BLOCK):
-        ordered[start:start + _SWEEP_BLOCK] = pooled[order[start:start + _SWEEP_BLOCK]]
-    del pooled
-    return labels, np.flatnonzero(ordered[1:] != ordered[:-1])
+        at = order[start:start + _SWEEP_BLOCK]
+        block = pooled[at]
+        steps = np.empty(block.size, dtype=np.int64)
+        steps[0] = block[0] != last
+        np.not_equal(block[1:], block[:-1], out=steps[1:])
+        np.cumsum(steps, out=steps)
+        steps += top
+        index[at] = steps
+        top, last = int(steps[-1]), block[-1]
+    return np.split(index, np.cumsum([g.size for g in groups])[:-1])
 
 
-def _discard_rows(block: np.ndarray, at: np.ndarray, below: np.ndarray, sizes: list[int]):
-    """Each group's discard fractions at the positions ``at`` of the label
-    ``block``, one row at a time. ``below`` holds each group's count before the
-    block and is advanced past it as the group's row is made."""
-    for g, size in enumerate(sizes):
-        count = np.cumsum(block == g, dtype=np.int64)
-        count += below[g]
-        below[g] = count[-1]
-        yield count[at] / size
+def _count_below_runs(
+    runs: np.ndarray, firsts: np.ndarray | None, start: int, stop: int
+) -> np.ndarray:
+    """Per run index k from ``start`` to ``stop`` - 1, how many of a group's
+    scores are below k, from the ascending run indices ``runs`` of its
+    distinct scores and their :func:`_firsts` (None: every score distinct)."""
+    below, end = runs.searchsorted([start, stop - 1])
+    # an index i from start to stop - 2 is below every k from i + 1 up
+    count = np.bincount(runs[below:end] - (start - 1), minlength=stop - start)
+    np.cumsum(count, out=count)
+    count += below
+    return count if firsts is None else firsts[count]
 
 
 def mdg_sqfr(

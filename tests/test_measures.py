@@ -463,14 +463,6 @@ class TestMdgSqfr:
         assert score.measure == "mdg_sqfr"
         assert score.value == 0.5  # single observed threshold at 3; gap 0.5
 
-    def test_observed_sweep_over_more_groups_than_a_byte_counts(self):
-        # a group index stored in a signed byte would wrap above 127 groups
-        rng = np.random.default_rng(3)
-        gs = grouped({f"g{i}": rng.integers(0, 40, rng.integers(1, 9)) for i in range(300)})
-        ts = observed_thresholds(gs)
-        score = mdg_sqfr(gs, thresholds_mode="observed")
-        assert score.value == 1.0 - mdg(discard_curve(gs, ts))
-
     def test_observed_sweep_holds_little_beside_its_thresholds(self):
         # the sweep keeps the thresholds and one gap array; building a whole
         # discard curve held one fraction array per group as well

@@ -332,6 +332,10 @@ class TestDiscardProperties:
     )
     @example(GroupedScores("q", {"A": [-0.0], "B": [0.0, 0.0, 1.0], "C": [-0.0, 0.0, 1.0]}))
     @example(GroupedScores("q", {"A": [1.0], "B": [1.0, 1.0]}))
+    # more groups than a byte can number, of 1 to 8 tied integer scores each
+    @example(GroupedScores(
+        "q", {f"g{i}": [float((7 * i + 13 * j) % 40) for j in range(1 + i % 8)] for i in range(300)}
+    ))
     @settings(max_examples=150, deadline=None)
     def test_observed_sweep_equals_the_discard_curve(self, block, grouped):
         ts = observed_thresholds(grouped)
