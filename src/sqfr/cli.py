@@ -178,9 +178,13 @@ def _cmd_simulate(args) -> int:
         spec = scenarios.ScenarioSpec.from_json_file(args.spec)
     if args.seed is not None:
         spec.seed = args.seed
+    fmt = args.format or ("json" if Path(args.out).suffix.lower() == ".json" else "csv")
+    if fmt == "csv":
+        dataset_io.check_csv_label(spec.name, "scenario name")
+        for g in spec.groups:
+            dataset_io.check_csv_label(g.label, "group label")
     grouped = scenarios.generate(spec)
 
-    fmt = args.format or ("json" if Path(args.out).suffix.lower() == ".json" else "csv")
     save = dataset_io.save_json if fmt == "json" else dataset_io.save_csv
     save(grouped, args.out)
 

@@ -494,6 +494,15 @@ def dumps_json(data) -> str:
     return buf.getvalue()
 
 
+def check_csv_label(value, what: str) -> None:
+    """Raise ConfigError if ``value``, a component id or group label, holds a
+    quote, CR or LF: :func:`save_csv` would write it, quoted, but
+    :func:`load_csv` rejects it."""
+    if any(ch in str(value) for ch in _FORBIDDEN_LABEL_CHARS):
+        raise ConfigError(f"{what} {value!r} contains quote or newline characters,"
+                          " which a CSV dataset cannot hold; write JSON instead")
+
+
 def save_csv(data, path) -> None:
     """Write ``dumps_csv(data)`` to ``path`` as UTF-8, block by block."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -24,9 +24,9 @@ def _c1d(a) -> np.ndarray:
 def count_below(sorted_scores, thresholds) -> np.ndarray:
     """Per threshold, how many scores are strictly below it.
 
-    Both arrays must be sorted ascending. Strict comparison is the single
-    place the discard predicate lives: a threshold equal to the smallest
-    score discards nothing.
+    Both arrays must be sorted ascending. A threshold equal to the smallest
+    score discards nothing; this and :func:`count_below_numbers` are the
+    only places the strict discard comparison is counted.
 
     Two binary searches find the window of scores from the first threshold
     to the last; scores below it count at every threshold, those above at
@@ -44,12 +44,23 @@ def count_below(sorted_scores, thresholds) -> np.ndarray:
         counts = np.searchsorted(window, thresholds, side="left")
     else:
         # j(x) is the index of the first threshold above x, and x < t_k
-        # exactly when j(x) <= k: count[k] is the cumulative count of j
+        # exactly when j(x) < k + 1
         above = np.searchsorted(thresholds, window, side="right")
-        counts = np.bincount(above, minlength=thresholds.size + 1)[:thresholds.size]
-        np.cumsum(counts, out=counts)
+        counts = count_below_numbers(above, 1, thresholds.size + 1)
     counts += below
     return counts.astype(np.int64, copy=False)  # already int64 where intp is 64-bit
+
+
+def count_below_numbers(numbers: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Per integer k from ``start`` to ``stop`` - 1, how many of the ascending
+    integers ``numbers`` are strictly below k: past two binary searches,
+    one bincount of the numbers inside the range and its cumsum."""
+    below, end = numbers.searchsorted([start, stop - 1])
+    # a number i from start to stop - 2 is below every k from i + 1 up
+    counts = np.bincount(numbers[below:end] - (start - 1), minlength=stop - start)
+    np.cumsum(counts, out=counts)
+    counts += below
+    return counts
 
 
 def low_weight_sums(scores, lo: float, hi: float) -> tuple[float, float]:

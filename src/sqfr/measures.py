@@ -40,8 +40,8 @@ _STEP_RTOL = 1e-9
 #: a proportionally larger step, not an unbounded allocation.
 MAX_THRESHOLDS = 10_000_000
 
-#: Thresholds per block of the discard sweeps (_mean_discard_gap and
-#: _observed_discard_gap), and sorted scores per block of _run_indices.
+#: Thresholds per block of the discard sweep in mdg_sqfr, and sorted scores
+#: per block of _run_indices.
 #: Larger blocks time alike and hold more; much smaller ones pay numpy's
 #: per-call cost once per group and block.
 _SWEEP_BLOCK = 8192
@@ -266,53 +266,6 @@ def _gaps(rows: Iterable, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mean_discard_gap(scores: GroupedScores, ts: np.ndarray) -> float:
-    """``mdg(discard_curve(scores, ts))``, bit for bit, without the curve.
-
-    ``scores`` is canonical and ``ts`` a non-empty ascending sweep. The
-    thresholds are taken in blocks of :data:`_SWEEP_BLOCK`, and each
-    block's gaps are folded from its fraction rows, so the gap is the only
-    array as long as the sweep.
-    """
-    gap = np.empty(ts.size)
-    for start in range(0, ts.size, _SWEEP_BLOCK):
-        block = ts[start:start + _SWEEP_BLOCK]
-        rows = (kernels.count_below(g, block) / g.size for g in scores.groups.values())
-        _gaps(rows, gap[start:start + block.size])
-    return float(gap.mean())  # the pairwise sum over the whole gap, as in mdg
-
-
-def _observed_discard_gap(scores: GroupedScores) -> float:
-    """``mdg(discard_curve(scores, observed_thresholds(scores)))``, bit for
-    bit, from one sort of the pooled scores; 0.0 when they are all equal.
-
-    ``scores`` is canonical. Number the distinct pooled scores from 0 up, so
-    that the observed thresholds are the scores numbered 1 to T; a score's
-    number is its run index. A group's discard count at the threshold
-    numbered k is how many of its scores have a run index below k. Only each
-    group's distinct scores are sorted and numbered: in a group with ties,
-    the count of its distinct scores below k picks, through the position of
-    each one's first copy, the count of its scores. One bincount per group
-    and block of :data:`_SWEEP_BLOCK` thresholds gives the counts, and each
-    block's fraction rows are folded into its gaps, as in the sequence
-    sweep. Besides the sort this costs O(N + G*T) for N scores in G groups.
-    """
-    groups = list(scores.groups.values())
-    firsts = [_firsts(g) for g in groups]
-    runs = _run_indices([g if f is None else g[f[:-1]] for g, f in zip(groups, firsts)])
-    count = max(int(r[-1]) for r in runs)  # T, the top run index
-    if count == 0:
-        return 0.0
-    gap = np.empty(count)
-    for start in range(1, count + 1, _SWEEP_BLOCK):
-        stop = min(start + _SWEEP_BLOCK, count + 1)
-        rows = (
-            _count_below_runs(r, f, start, stop) / g.size for g, f, r in zip(groups, firsts, runs)
-        )
-        _gaps(rows, gap[start - 1:stop - 1])
-    return float(gap.mean())  # the pairwise sum over the whole gap, as in mdg
-
-
 def _firsts(g: np.ndarray) -> np.ndarray | None:
     """The position of the first copy of each distinct score of the ascending
     ``g``, then ``g.size``: how many scores lie below each distinct score, and
@@ -352,36 +305,49 @@ def _run_indices(groups: list[np.ndarray]) -> list[np.ndarray]:
     return np.split(index, np.cumsum([g.size for g in groups])[:-1])
 
 
-def _count_below_runs(
-    runs: np.ndarray, firsts: np.ndarray | None, start: int, stop: int
-) -> np.ndarray:
-    """Per run index k from ``start`` to ``stop`` - 1, how many of a group's
-    scores are below k, from the ascending run indices ``runs`` of its
-    distinct scores and their :func:`_firsts` (None: every score distinct)."""
-    below, end = runs.searchsorted([start, stop - 1])
-    # an index i from start to stop - 2 is below every k from i + 1 up
-    count = np.bincount(runs[below:end] - (start - 1), minlength=stop - start)
-    np.cumsum(count, out=count)
-    count += below
-    return count if firsts is None else firsts[count]
-
-
 def mdg_sqfr(
     scores: GroupedScores, step: float = 1.0, thresholds_mode: str = "sequence"
 ) -> FairnessScore:
     """Discard-gap fairness rate 1 - MDG over the relevant threshold sweep.
 
-    An empty sweep (all pooled scores equal) means no threshold can
-    separate the groups, which is perfect fairness: 1.0.
+    The gap equals ``mdg(discard_curve(scores, ts))`` bit for bit, for the
+    sweep ``ts`` of ``thresholds_mode``, but the thresholds are taken in
+    blocks of :data:`_SWEEP_BLOCK` and each block's fraction rows folded
+    into its gaps, so no curve is built. An empty sweep (all pooled scores
+    equal) separates no groups, which is perfect fairness: 1.0.
+
+    Sequence mode counts each block with :func:`kernels.count_below`.
+    Observed mode numbers the distinct pooled scores from 0 up, so the
+    thresholds are the scores numbered 1 to T, and a group discards at the
+    k-th its scores numbered below k. Only each group's distinct scores are
+    numbered; :func:`_firsts` maps a count of them to a count of scores.
+    Besides one sort this costs O(N + G*T) for N scores in G groups.
     """
     scores = scores.validated()
     check_sweep(step, thresholds_mode)
+    groups = list(scores.groups.values())
     if thresholds_mode == "observed":
-        gap = _observed_discard_gap(scores)
+        firsts = [_firsts(g) for g in groups]
+        numbers = _run_indices([g if f is None else g[f[:-1]] for g, f in zip(groups, firsts)])
+        size = max(int(n[-1]) for n in numbers)  # T, the top number
+
+        def below(i: int, start: int, stop: int) -> np.ndarray:
+            count = kernels.count_below_numbers(numbers[i], start + 1, stop + 1)
+            return count if firsts[i] is None else firsts[i][count]
     else:
         ts = relevant_thresholds(scores, step)
-        gap = _mean_discard_gap(scores, ts) if ts.size else 0.0
-    return FairnessScore("mdg_sqfr", min(max(1.0 - gap, 0.0), 1.0))
+        size = ts.size
+
+        def below(i: int, start: int, stop: int) -> np.ndarray:
+            return kernels.count_below(groups[i], ts[start:stop])
+
+    gap = np.empty(size)
+    for start in range(0, size, _SWEEP_BLOCK):
+        stop = min(start + _SWEEP_BLOCK, size)
+        _gaps((below(i, start, stop) / g.size for i, g in enumerate(groups)), gap[start:stop])
+    # the pairwise sum over the whole gap, as in mdg
+    value = 1.0 - float(gap.mean()) if size else 1.0
+    return FairnessScore("mdg_sqfr", min(max(value, 0.0), 1.0))
 
 
 def evaluate_component(

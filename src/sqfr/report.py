@@ -160,19 +160,25 @@ def to_markdown(report: FairnessReport) -> str:
     lines = ["# Fairness report", ""]
     lines += [f"- {k}: {v}" for k, v in report.metadata.items() if k != "measures"]
     for c in report.components:
-        lines += ["", f"## Component {c.component}", ""]
+        lines += ["", f"## Component {_md_inline(c.component)}", ""]
         lines.append("| group | count | mean | median | lwm |")
         lines.append("| --- | --- | --- | --- | --- |")
         for g in c.groups:
-            label = g.label.replace("|", r"\|")  # a bare | would end the cell
             lines.append(
-                f"| {label} | {g.count} | {g.mean:.{precision}f}"
+                f"| {_md_inline(g.label)} | {g.count} | {g.mean:.{precision}f}"
                 f" | {g.median:.{precision}f} | {g.lwm:.{precision}f} |"
             )
         lines += ["", "| measure | value |", "| --- | --- |"]
         for k, v in c.measures.items():
             lines.append(f"| {cli_measure_name(k)} | {v:.{precision}f} |")
     return "\n".join(lines) + "\n"
+
+
+def _md_inline(text) -> str:
+    """``text`` kept on one markdown line and in one table cell: a bare |
+    would end the cell, and a line break the row or heading."""
+    text = str(text).replace("|", r"\|")
+    return text.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
 
 
 def render(report: FairnessReport, fmt: str) -> str:

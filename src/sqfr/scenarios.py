@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .measures import csqfr, gini_coefficient, sqfr
+from .measures import MAX_THRESHOLDS, csqfr, gini_coefficient, sqfr
 from .types import GroupedScores, is_finite_number, is_int
 
 DISTRIBUTIONS = ("normal", "mixture_of_normals", "constant")
@@ -90,6 +90,8 @@ class ScenarioSpec:
                 raise ConfigError(f"{where}: sample_count must be an integer, got {g.sample_count!r}")
             if g.sample_count < 1:
                 raise ConfigError(f"{where}: sample_count must be >= 1")
+            if g.sample_count > MAX_THRESHOLDS:
+                raise ConfigError(f"{where}: sample_count must be at most {MAX_THRESHOLDS}")
             _check_parameters(where, g)
 
     @classmethod

@@ -326,6 +326,35 @@ class TestSimulate:
         doc = json.loads(data.read_text())
         assert set(doc["components"]["q5"]) == {"A", "B", "C"}
 
+    @pytest.mark.parametrize("name, label, err", [
+        ("x", 'say "hi"', """error: group label 'say "hi"' contains quote"""),
+        ("x", "two\nlines", r"error: group label 'two\nlines' contains quote"),
+        ("x", "cr\r", r"error: group label 'cr\r' contains quote"),
+        ('the "x"', "A", """error: scenario name 'the "x"' contains quote"""),
+        ("x\r\ny", "A", r"error: scenario name 'x\r\ny' contains quote"),
+    ])
+    def test_csv_cannot_hold_a_label_that_load_csv_rejects(self, tmp_path, capsys, name, label, err):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"name": name, "seed": 1, "groups": [
+            {"label": label, "distribution": "constant", "parameters": {"value": 1},
+             "sample_count": 3},
+            {"label": "B", "distribution": "constant", "parameters": {"value": 2},
+             "sample_count": 3},
+        ]}))
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(err)
+        assert not out.exists()
+        # JSON escapes them, so the same spec round-trips through eval
+        data = tmp_path / "x.json"
+        assert main(["simulate", "--spec", str(spec), "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--input", str(data), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [c["component"] for c in doc["components"]] == [name]
+        assert {g["label"] for g in doc["components"][0]["groups"]} == {label, "B"}
+
 
 class TestPlotdata:
     def test_histogram_counts_conserved(self, tmp_path, capsys):

@@ -83,6 +83,26 @@ class TestCountBelow:
         assert kernels.count_below(thresholds, scores).tolist() == [1, 2, 4]
 
 
+class TestCountBelowNumbers:
+    @pytest.mark.parametrize(
+        "numbers, start, stop",
+        [
+            ([0, 1, 1, 3, 3, 3, 6], 1, 8),  # ties, below, inside and above the range
+            ([2, 2, 5, 9], 3, 7),  # a range strictly inside the numbers
+            ([0, 1, 2], 5, 9),  # all below start
+            ([6, 6, 8], 2, 7),  # all at stop - 1
+            ([7, 9, 12], 2, 7),  # all above stop - 1
+            ([1, 4, 4], 4, 5),  # a range with one k, equal to tied numbers
+            ([3], 0, 1),  # a range with one k, below every number
+            ([], 1, 4),  # no numbers
+        ],
+    )
+    def test_against_direct_count(self, numbers, start, stop):
+        numbers = np.array(numbers, dtype=np.int64)
+        got = kernels.count_below_numbers(numbers, start, stop)
+        assert got.tolist() == [int((numbers < k).sum()) for k in range(start, stop)]
+
+
 class TestLowWeightSums:
     def test_hand_case(self):
         wsum, wqsum = kernels.low_weight_sums(np.array([0.0, 50.0]), 0.0, 100.0)

@@ -304,9 +304,9 @@ class TestDiscardProperties:
             ts = relevant_thresholds(grouped, step)
         assume(ts.size > 0)
         with mock.patch.object(measures, "_SWEEP_BLOCK", block):
-            got = measures._mean_discard_gap(grouped, ts)
-        assert got == mdg(discard_curve(grouped, ts))  # exactly, not approximately
-        assert got == pytest.approx(mdg_recount(grouped, ts), rel=1e-12, abs=1e-15)
+            got = mdg_sqfr(grouped, step, mode).value
+        assert got == 1.0 - mdg(discard_curve(grouped, ts))  # exactly, not approximately
+        assert got == pytest.approx(1.0 - mdg_recount(grouped, ts), rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("block", [1, 2, 7, measures._SWEEP_BLOCK])
     @given(

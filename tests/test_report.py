@@ -147,6 +147,16 @@ class TestSerialization:
         rows = [line for line in to_markdown(report).splitlines() if line.startswith("| A")]
         assert rows == [r"| A\|1 | 2 | 2.000 | 2.000 | 2.000 |"]
 
+    def test_markdown_keeps_a_line_break_in_a_label_on_its_line(self):
+        groups = {"A\nB": [1.0, 2.0, 3.0], "C\rD": [4.0, 5.0, 6.0], "E\r\n|F": [7.0]}
+        report = build_report(Dataset({"q\r\n1": GroupedScores("q\r\n1", groups)}))
+        lines = to_markdown(report).splitlines()
+        assert "## Component q<br>1" in lines
+        rows = [line.split(" | ")[0] for line in lines if line.startswith("| ") and "." in line]
+        assert rows[:3] == ["| A<br>B", "| C<br>D", r"| E<br>\|F"]
+        # the JSON report keeps the component id as it is
+        assert json.loads(to_json(report))["components"][0]["component"] == "q\r\n1"
+
     def test_render_dispatch(self, dataset):
         report = build_report(dataset)
         assert render(report, "json") == to_json(report)

@@ -222,6 +222,9 @@ INVALID_SPECS = [
     (spec_with(clamp_range=[0, 1, 2]), "clamp_range must be"),
     (spec_with(A={"distribution": "poisson"}), "unknown distribution 'poisson'"),
     (spec_with(A={"sample_count": 0}), "sample_count must be >= 1"),
+    # checked before anything is drawn, so neither count is ever allocated
+    (spec_with(A={"sample_count": 10**30}), "sample_count must be at most 10000000"),
+    (spec_with(B={"sample_count": 10**7 + 1}), "sample_count must be at most 10000000"),
     (spec_with(C={"parameters": {}}), "constant needs a non-negative 'value'"),
     (spec_with(C={"parameters": {"value": -1}}), "constant needs a non-negative 'value'"),
     (spec_with(A={"parameters": {"mean": 50}}), "normal needs 'mean' and 'stddev'"),
