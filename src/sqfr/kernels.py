@@ -25,8 +25,10 @@ def count_below(sorted_scores, thresholds) -> np.ndarray:
     """Per threshold, how many scores are strictly below it.
 
     Both arrays must be sorted ascending. A threshold equal to the smallest
-    score discards nothing; this and :func:`count_below_numbers` are the
-    only places the strict discard comparison is counted.
+    score discards nothing. This counts the strict discard comparison for
+    the fixed-step sweep. The observed sweep (``measures._envelope_gaps``)
+    encodes it instead in the share it reads at each threshold: a score's
+    share of its group strictly below it, i / size at index i.
 
     Two binary searches find the window of scores from the first threshold
     to the last; scores below it count at every threshold, those above at
@@ -54,7 +56,8 @@ def count_below(sorted_scores, thresholds) -> np.ndarray:
 def count_below_numbers(numbers: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Per integer k from ``start`` to ``stop`` - 1, how many of the ascending
     integers ``numbers`` are strictly below k: past two binary searches,
-    one bincount of the numbers inside the range and its cumsum."""
+    one bincount of the numbers inside the range and its cumsum.
+    :func:`count_below` counts its sparse side with it."""
     below, end = numbers.searchsorted([start, stop - 1])
     # a number i from start to stop - 2 is below every k from i + 1 up
     counts = np.bincount(numbers[below:end] - (start - 1), minlength=stop - start)

@@ -40,8 +40,8 @@ _STEP_RTOL = 1e-9
 #: a proportionally larger step, not an unbounded allocation.
 MAX_THRESHOLDS = 10_000_000
 
-#: Thresholds per block of the discard sweep in mdg_sqfr, and sorted scores
-#: per block of _run_indices.
+#: Thresholds per block of the sequence sweep in mdg_sqfr, and sorted scores
+#: per block of _envelope_gaps.
 #: Larger blocks time alike and hold more; much smaller ones pay numpy's
 #: per-call cost once per group and block.
 _SWEEP_BLOCK = 8192
@@ -266,43 +266,83 @@ def _gaps(rows: Iterable, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _firsts(g: np.ndarray) -> np.ndarray | None:
-    """The position of the first copy of each distinct score of the ascending
-    ``g``, then ``g.size``: how many scores lie below each distinct score, and
-    below none. None when no two scores tie."""
-    rises = np.empty(g.size, dtype=bool)
-    rises[0] = True
-    np.not_equal(g[1:], g[:-1], out=rises[1:])
-    if rises.all():
-        return None
-    return np.append(np.flatnonzero(rises), g.size)
+def _envelope_gaps(groups: list[np.ndarray]) -> np.ndarray:
+    """The gap, max minus min group fraction, at each observed threshold of
+    the ascending arrays ``groups``: each distinct pooled score above the
+    smallest, in ascending order.
 
+    A group's fraction below t is non-decreasing in t. So the max over
+    groups is a running max, over the pooled scores below t, of each
+    score's share of its group at or below it; the min is a running min,
+    over the pooled scores from t up, of each score's share of its group
+    strictly below it, or 1.0 over none. Both are the floats
+    ``count / size`` that :func:`_gaps` folds, and max and min are exact,
+    so the gaps keep their bits.
 
-def _run_indices(groups: list[np.ndarray]) -> list[np.ndarray]:
-    """Per ascending array of ``groups``, the run index of each score: the
-    number of distinct scores of all the arrays below it. A -0 and a 0
-    compare equal, so they share an index, as they share a threshold.
-
-    The stable argsort of the pool merges the ascending arrays. The indices
-    take the pool's buffer, written block by block in the sorted order as
-    each block's scores are read, so besides the sort's index array no other
-    array as long as the pool is held.
+    The stable argsort of the pool merges the ascending arrays, so each
+    group's scores keep their order in it. While the first pass compares
+    the sorted scores, it copies the argsort's indices into int32 (below
+    2**31 scores); then the scores' buffer takes the shares and the
+    indices' buffer the gaps. Each pass goes in blocks of
+    :data:`_SWEEP_BLOCK` sorted scores, so besides those three arrays only
+    one flag per score is as long as the pool, and the peak does not grow
+    with the number of groups.
     """
     pooled = np.concatenate(groups)
-    order = np.argsort(pooled, kind="stable")
-    index = pooled.view(np.int64)
-    top, last = 0, pooled[order[0]]
-    for start in range(0, order.size, _SWEEP_BLOCK):
-        at = order[start:start + _SWEEP_BLOCK]
-        block = pooled[at]
-        steps = np.empty(block.size, dtype=np.int64)
-        steps[0] = block[0] != last
-        np.not_equal(block[1:], block[:-1], out=steps[1:])
-        np.cumsum(steps, out=steps)
-        steps += top
-        index[at] = steps
-        top, last = int(steps[-1]), block[-1]
-    return np.split(index, np.cumsum([g.size for g in groups])[:-1])
+    n = pooled.size
+    # int64 on every platform, so that its buffer can take the gaps later
+    merged = np.argsort(pooled, kind="stable").astype(np.int64, copy=False)
+    order = np.empty(n, dtype=np.int32 if n < 2**31 else np.int64)
+    # opens[j]: sorted score j differs from score j - 1, so it is a
+    # threshold; a -0 and a 0 compare equal and share one
+    opens = np.empty(n + 1, dtype=bool)
+    opens[n] = False
+    last = pooled[merged[0]]
+    for start in range(0, n, _SWEEP_BLOCK):
+        at = merged[start:start + _SWEEP_BLOCK]
+        order[start:start + at.size] = at
+        block = pooled.take(at)
+        opens[start] = block[0] != last
+        np.not_equal(block[1:], block[:-1], out=opens[start + 1:start + at.size])
+        last = block[-1]
+    gap = merged.view(np.float64)[:np.count_nonzero(opens)]
+    if not gap.size:
+        return gap
+    # a slot's share of its group strictly below it: i / size at index i
+    share, offset = pooled, 0
+    for g in groups:
+        for start in range(0, g.size, _SWEEP_BLOCK):
+            stop = min(start + _SWEEP_BLOCK, g.size)
+            np.divide(np.arange(start, stop, dtype=np.float64), g.size,
+                      out=share[offset + start:offset + stop])
+        offset += g.size
+    # The max up to the score before each threshold. The slot after a score
+    # holds its share at or below it, except after a group's last score:
+    # there the next group's first slot (or, wrapping, the pool's) holds 0,
+    # read as the whole group, 1.0. No share is NaN, so fmax is maximum
+    # without its NaN check; the same holds for fmin below.
+    done, top = 0, 0.0
+    for start in range(0, n, _SWEEP_BLOCK):
+        run = share.take(order[start:start + _SWEEP_BLOCK] + 1, mode="wrap")
+        run[run == 0.0] = 1.0
+        run[0] = max(run[0], top)
+        np.fmax.accumulate(run, out=run)
+        top = run[-1]
+        ends = run[opens[start + 1:start + 1 + run.size]]
+        gap[done:done + ends.size] = ends
+        done += ends.size
+    # less the min from each threshold up, taken from the top down
+    low = 1.0
+    for start in range((n - 1) // _SWEEP_BLOCK * _SWEEP_BLOCK, -1, -_SWEEP_BLOCK):
+        stop = min(start + _SWEEP_BLOCK, n)
+        run = share.take(order[start:stop][::-1])
+        run[0] = min(run[0], low)
+        np.fmin.accumulate(run, out=run)
+        low = run[-1]
+        firsts = run[opens[start:stop][::-1]]
+        gap[done - firsts.size:done] -= firsts[::-1]
+        done -= firsts.size
+    return gap
 
 
 def mdg_sqfr(
@@ -311,42 +351,31 @@ def mdg_sqfr(
     """Discard-gap fairness rate 1 - MDG over the relevant threshold sweep.
 
     The gap equals ``mdg(discard_curve(scores, ts))`` bit for bit, for the
-    sweep ``ts`` of ``thresholds_mode``, but the thresholds are taken in
-    blocks of :data:`_SWEEP_BLOCK` and each block's fraction rows folded
-    into its gaps, so no curve is built. An empty sweep (all pooled scores
-    equal) separates no groups, which is perfect fairness: 1.0.
+    sweep ``ts`` of ``thresholds_mode``, but no curve is built. An empty
+    sweep (all pooled scores equal) separates no groups, which is perfect
+    fairness: 1.0.
 
-    Sequence mode counts each block with :func:`kernels.count_below`.
-    Observed mode numbers the distinct pooled scores from 0 up, so the
-    thresholds are the scores numbered 1 to T, and a group discards at the
-    k-th its scores numbered below k. Only each group's distinct scores are
-    numbered; :func:`_firsts` maps a count of them to a count of scores.
-    Besides one sort this costs O(N + G*T) for N scores in G groups.
+    Sequence mode takes the thresholds in blocks of :data:`_SWEEP_BLOCK`,
+    counts each group's discards in a block with
+    :func:`kernels.count_below` and folds the block's fraction rows into
+    its gaps. Observed mode takes the gaps from two running envelopes over
+    the pooled sorted scores (:func:`_envelope_gaps`): one sort plus O(N)
+    per pass for N scores, whatever the number of groups.
     """
     scores = scores.validated()
     check_sweep(step, thresholds_mode)
     groups = list(scores.groups.values())
     if thresholds_mode == "observed":
-        firsts = [_firsts(g) for g in groups]
-        numbers = _run_indices([g if f is None else g[f[:-1]] for g, f in zip(groups, firsts)])
-        size = max(int(n[-1]) for n in numbers)  # T, the top number
-
-        def below(i: int, start: int, stop: int) -> np.ndarray:
-            count = kernels.count_below_numbers(numbers[i], start + 1, stop + 1)
-            return count if firsts[i] is None else firsts[i][count]
+        gap = _envelope_gaps(groups)
     else:
         ts = relevant_thresholds(scores, step)
-        size = ts.size
-
-        def below(i: int, start: int, stop: int) -> np.ndarray:
-            return kernels.count_below(groups[i], ts[start:stop])
-
-    gap = np.empty(size)
-    for start in range(0, size, _SWEEP_BLOCK):
-        stop = min(start + _SWEEP_BLOCK, size)
-        _gaps((below(i, start, stop) / g.size for i, g in enumerate(groups)), gap[start:stop])
+        gap = np.empty(ts.size)
+        for start in range(0, ts.size, _SWEEP_BLOCK):
+            stop = min(start + _SWEEP_BLOCK, ts.size)
+            rows = (kernels.count_below(g, ts[start:stop]) / g.size for g in groups)
+            _gaps(rows, gap[start:stop])
     # the pairwise sum over the whole gap, as in mdg
-    value = 1.0 - float(gap.mean()) if size else 1.0
+    value = 1.0 - float(gap.mean()) if gap.size else 1.0
     return FairnessScore("mdg_sqfr", min(max(value, 0.0), 1.0))
 
 

@@ -25,12 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .measures import MAX_THRESHOLDS, csqfr, gini_coefficient, sqfr
+from .measures import csqfr, gini_coefficient, sqfr
 from .types import GroupedScores, is_finite_number, is_int
 
 DISTRIBUTIONS = ("normal", "mixture_of_normals", "constant")
 
 _TWO_PI = 2.0 * math.pi
+
+#: Samples one group, and one scenario in all, may ask for; checked before
+#: anything is drawn, so an oversized spec is refused rather than allocated.
+MAX_GROUP_SAMPLES = 10_000_000
+MAX_SCENARIO_SAMPLES = 50_000_000
 
 
 @dataclass
@@ -90,9 +95,15 @@ class ScenarioSpec:
                 raise ConfigError(f"{where}: sample_count must be an integer, got {g.sample_count!r}")
             if g.sample_count < 1:
                 raise ConfigError(f"{where}: sample_count must be >= 1")
-            if g.sample_count > MAX_THRESHOLDS:
-                raise ConfigError(f"{where}: sample_count must be at most {MAX_THRESHOLDS}")
+            if g.sample_count > MAX_GROUP_SAMPLES:
+                raise ConfigError(f"{where}: sample_count must be at most {MAX_GROUP_SAMPLES}")
             _check_parameters(where, g)
+        total = sum(g.sample_count for g in self.groups)
+        if total > MAX_SCENARIO_SAMPLES:
+            raise ConfigError(
+                f"scenario '{self.name}': sample_count sums to {total} over its groups;"
+                f" at most {MAX_SCENARIO_SAMPLES} in all"
+            )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioSpec":

@@ -290,6 +290,24 @@ class TestSimulate:
         ]
         assert not out.exists()
 
+    def test_spec_over_the_total_sample_bound_exits_2(self, tmp_path, capsys):
+        # six groups of 10**7 samples each: every group is within its bound
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "x", "seed": 1,
+            "groups": [{"label": f"g{i}", "distribution": "constant", "parameters": {"value": 1},
+                        "sample_count": 10**7} for i in range(6)],
+        }))
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: scenario 'x': sample_count sums to 60000000 over its groups;"
+            " at most 50000000 in all"
+        ]
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_summary_of_scores_near_the_float_maximum_is_finite(self, tmp_path, capsys):
         # sums of these scores overflow; numpy would print inf and warn

@@ -477,6 +477,20 @@ class TestMdgSqfr:
             tracemalloc.stop()
         assert peak < 3 * threshold_bytes
 
+    def test_observed_sweep_holds_no_more_for_more_groups(self):
+        # as many scores in 100 groups: the sweep's arrays grow with the
+        # pooled scores, not with the group count
+        rng = np.random.default_rng(7)
+        gs = grouped({f"g{i}": rng.random(5_000) * 100 for i in range(100)}).validated()
+        threshold_bytes = observed_thresholds(gs).nbytes
+        tracemalloc.start()
+        try:
+            mdg_sqfr(gs, thresholds_mode="observed")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * threshold_bytes
+
 
 class TestEvaluateComponent:
     def test_q2_aggregates_as_singletons(self):

@@ -48,6 +48,12 @@ extreme_scores = st.one_of(
 extreme_groups = st.lists(
     st.lists(extreme_scores, min_size=1, max_size=10), min_size=2, max_size=4
 ).map(lambda gs: GroupedScores("q", {f"g{i}": g for i, g in enumerate(gs)}))
+# few distinct values, -0 beside 0 and the float range's ends among them, so
+# that scores tie across groups; or any score up to 100
+tie_prone_scores = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1.0, 2.0, 7.0, 1e308]),
+    st.floats(min_value=0.0, max_value=100.0),
+)
 
 
 def grouped_strategy(max_groups=5, max_size=30, integers=False):
@@ -338,6 +344,25 @@ class TestDiscardProperties:
     ))
     @settings(max_examples=150, deadline=None)
     def test_observed_sweep_equals_the_discard_curve(self, block, grouped):
+        ts = observed_thresholds(grouped)
+        want = 1.0 - mdg(discard_curve(grouped, ts)) if ts.size else 1.0
+        with mock.patch.object(measures, "_SWEEP_BLOCK", block):
+            got = mdg_sqfr(grouped, thresholds_mode="observed").value
+        assert got == want  # exactly, not approximately
+
+    @pytest.mark.parametrize("block", [1, 2, 7, measures._SWEEP_BLOCK])
+    @given(
+        st.lists(
+            st.one_of(
+                st.lists(tie_prone_scores, min_size=1, max_size=1),
+                st.lists(tie_prone_scores, min_size=2, max_size=8),
+            ),
+            min_size=20,
+            max_size=60,
+        ).map(lambda gs: GroupedScores("q", {f"g{i}": g for i, g in enumerate(gs)}))
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_observed_sweep_over_many_groups_equals_the_discard_curve(self, block, grouped):
         ts = observed_thresholds(grouped)
         want = 1.0 - mdg(discard_curve(grouped, ts)) if ts.size else 1.0
         with mock.patch.object(measures, "_SWEEP_BLOCK", block):

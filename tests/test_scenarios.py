@@ -266,6 +266,18 @@ class TestSpecFromDict:
         with pytest.raises(ConfigError, match=match):
             ScenarioSpec.from_dict(doc)
 
+    def test_total_sample_count_is_bounded(self):
+        # every group is within its own bound; the sum is checked before
+        # anything is drawn, so neither spec allocates a sample
+        group = {"distribution": "constant", "parameters": {"value": 1}, "sample_count": 10**7}
+        doc = {"name": "big", "seed": 1, "groups": [{**group, "label": f"g{i}"} for i in range(5)]}
+        assert sum(g.sample_count for g in ScenarioSpec.from_dict(doc).groups) == 5 * 10**7
+        doc["groups"].append({**group, "label": "g5", "sample_count": 1})
+        with pytest.raises(
+            ConfigError, match="sample_count sums to 50000001 over its groups; at most 50000000 in all"
+        ):
+            ScenarioSpec.from_dict(doc)
+
     @pytest.mark.parametrize("change, match", [
         (lambda s: setattr(s, "seed", -1), "seed must be a non-negative integer"),
         (lambda s: setattr(s.groups[0], "sample_count", True), "sample_count must be an integer"),
