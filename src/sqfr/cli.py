@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, dataset as dataset_io, plotdata, report, scenarios
 from .errors import ConfigError, DomainError, ParseError, ValidationError
-from .measures import THRESHOLD_MODES, _scale_free
+from .measures import THRESHOLD_MODES, _scale_free, check_sweep
 
 PRECISION_ENV = "SQFR_PRECISION"
 
@@ -150,6 +150,7 @@ def _resolve_precision(value: int | None) -> int:
 def _cmd_eval(args) -> int:
     precision = _resolve_precision(args.precision)
     selected = report.parse_measure_list(args.measures)
+    check_sweep(args.threshold_step, args.thresholds)
     ds = _load(args)
     # a loaded component has passed its check, so these are warnings
     _print_diagnostics(dataset_io.validate(ds))
@@ -198,6 +199,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
+    plotdata.check_options(args.bin_width, args.grid_points, args.bandwidth)
     ds = _load(args)
     plot = plotdata.build_plotdata(
         ds,

@@ -24,46 +24,18 @@ def _c1d(a) -> np.ndarray:
 def count_below(sorted_scores, thresholds) -> np.ndarray:
     """Per threshold, how many scores are strictly below it.
 
-    Both arrays must be sorted ascending. A threshold equal to the smallest
-    score discards nothing. This counts the strict discard comparison for
-    the fixed-step sweep. The observed sweep (``measures._envelope_gaps``)
-    encodes it instead in the share it reads at each threshold: a score's
-    share of its group strictly below it, i / size at index i.
+    The scores must be sorted ascending; the thresholds may come in any
+    order. A threshold equal to the smallest score discards nothing. This
+    counts the strict discard comparison for the fixed-step sweep. The
+    observed sweep (``measures._envelope_gaps``) encodes it instead in the
+    share it reads at each threshold: a score's share of its group strictly
+    below it, i / size at index i.
 
-    Two binary searches find the window of scores from the first threshold
-    to the last; scores below it count at every threshold, those above at
-    none. The smaller of the window and the thresholds is binary-searched
-    into the larger: O(m log M) for m = min and M = max of their sizes,
-    plus one pass over the thresholds when the window is the smaller.
+    One binary search per threshold: O(T log N) for T thresholds and N
+    scores.
     """
-    scores = _c1d(sorted_scores)
-    thresholds = _c1d(thresholds)
-    if thresholds.size == 0:
-        return np.empty(0, dtype=np.int64)
-    below, end = scores.searchsorted(thresholds[[0, -1]])
-    window = scores[below:end]
-    if window.size >= thresholds.size:
-        counts = np.searchsorted(window, thresholds, side="left")
-    else:
-        # j(x) is the index of the first threshold above x, and x < t_k
-        # exactly when j(x) < k + 1
-        above = np.searchsorted(thresholds, window, side="right")
-        counts = count_below_numbers(above, 1, thresholds.size + 1)
-    counts += below
+    counts = np.searchsorted(_c1d(sorted_scores), _c1d(thresholds), side="left")
     return counts.astype(np.int64, copy=False)  # already int64 where intp is 64-bit
-
-
-def count_below_numbers(numbers: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Per integer k from ``start`` to ``stop`` - 1, how many of the ascending
-    integers ``numbers`` are strictly below k: past two binary searches,
-    one bincount of the numbers inside the range and its cumsum.
-    :func:`count_below` counts its sparse side with it."""
-    below, end = numbers.searchsorted([start, stop - 1])
-    # a number i from start to stop - 2 is below every k from i + 1 up
-    counts = np.bincount(numbers[below:end] - (start - 1), minlength=stop - start)
-    np.cumsum(counts, out=counts)
-    counts += below
-    return counts
 
 
 def low_weight_sums(scores, lo: float, hi: float) -> tuple[float, float]:

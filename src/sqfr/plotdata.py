@@ -101,18 +101,10 @@ class PlotData:
     warnings: list[Diagnostic]
 
 
-def build_plotdata(
-    dataset: Dataset,
-    bin_width: float = 1.0,
-    grid_points: int = 256,
-    bandwidth: float | None = None,
-) -> PlotData:
-    """Histogram and density series for every (component, group).
-
-    Each component is read in the canonical form of
-    ``GroupedScores.validated``, so a component that fails its check raises
-    ValidationError and no series depends on the order of a group's scores.
-    """
+def check_options(bin_width: float, grid_points: int, bandwidth: float | None) -> None:
+    """Raise ConfigError for a bin width, grid size or given bandwidth that
+    no dataset could make valid. Whether a bandwidth's grid fits the float
+    range depends on the scores, so :func:`build_plotdata` checks that."""
     if not is_int(grid_points):
         raise ConfigError(f"grid_points must be an integer, got {grid_points!r}")
     if not 2 <= grid_points <= MAX_THRESHOLDS:
@@ -125,6 +117,21 @@ def build_plotdata(
                 f"bandwidth must be at least {sys.float_info.min!r}"
                 f" (the smallest normal double), got {bandwidth!r}"
             )
+
+
+def build_plotdata(
+    dataset: Dataset,
+    bin_width: float = 1.0,
+    grid_points: int = 256,
+    bandwidth: float | None = None,
+) -> PlotData:
+    """Histogram and density series for every (component, group).
+
+    Each component is read in the canonical form of
+    ``GroupedScores.validated``, so a component that fails its check raises
+    ValidationError and no series depends on the order of a group's scores.
+    """
+    check_options(bin_width, grid_points, bandwidth)
     components = []
     warnings: list[Diagnostic] = []
     for cid, grouped in dataset.components.items():

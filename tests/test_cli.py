@@ -176,10 +176,17 @@ class TestBadNumericParameters:
         (["plotdata", "--bandwidth", "1e-320"], NARROW),
         (["plotdata", "--bandwidth", "1e308"], NARROW),
         (["eval", "--measures", "mean-gc-sqfr", "--threshold-step", "nan"], NARROW),
+        # rejected before the input is read: no file exists
+        (["eval", "--threshold-step", "-1"], None),
+        (["eval", "--threshold-step", "nan", "--thresholds", "observed"], None),
+        (["plotdata", "--bin-width", "-1"], None),
+        (["plotdata", "--grid-points", "1"], None),
+        (["plotdata", "--bandwidth", "1e-320"], None),
     ])
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv, data):
         path = tmp_path / "d.csv"
-        path.write_text(data)
+        if data is not None:
+            path.write_text(data)
         assert main(argv + ["--input", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -268,7 +268,7 @@ class TestDiscardProperties:
     @settings(max_examples=300, deadline=None)
     def test_observed_fractions_equal_recount(self, grouped):
         # one threshold per distinct pooled score: groups smaller than the
-        # sweep are counted by placing their scores among the thresholds
+        # sweep face more thresholds than they hold scores
         ts = observed_thresholds(grouped)
         assume(ts.size > 0)
         curve = discard_curve(grouped, ts)
@@ -299,6 +299,12 @@ class TestDiscardProperties:
     )
     @example(
         GroupedScores("q", {"A": [-0.0, 0.0, 0.0], "B": [0.0, 1.0], "C": [2.0]}), ("sequence", 1.0)
+    )
+    # integer scores 100 apart at step 0.01: over 8192 thresholds, more than
+    # one unpatched block and far more than any group's scores
+    @example(
+        GroupedScores("q", {"A": [0.0, 40.0, 40.0, 100.0], "B": [10.0, 55.0, 90.0], "C": [70.0]}),
+        ("sequence", 0.01),
     )
     @settings(max_examples=150, deadline=None)
     def test_fused_sweep_equals_the_discard_curve(self, block, grouped, sweep):
