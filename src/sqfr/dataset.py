@@ -21,18 +21,21 @@ I/O is columnar: scores go into one typed buffer or array per
 conventionally integers in 0-100, so a CSV file usually holds a few
 thousand distinct lines however many rows it has. ``load_csv`` therefore
 counts the distinct lines after the header (in C, with ``Counter``),
-checks each distinct line once, and expands each group's sorted distinct
+reads each distinct line once, and expands each group's sorted distinct
 scores by their counts into an array that is already ascending. It reads
 the file again from line 1, row by row, when over half of the lines read
 are distinct or more than 2**15 lines are (checked every 2**16 lines, so
 the count never holds more than about 10**5 lines), when any line holds a
 ``"`` (a quoted field can span lines), or when any distinct line fails its
-check; so every CSV diagnostic comes from the row-by-row reading. Either
-way a row or line is checked inline (field count, a score in [0, float
-max], labels once per new (component, group)); ``load_json`` converts and
-checks each group's list as one array. Only input that fails those cheap
-checks is checked again, row by row or element by element, by the full
-check, which produces every diagnostic and cites its row or JSON path.
+check; so every CSV diagnostic comes from the row-by-row reading.
+
+CSV rows have one check, in ``_read_rows``, which reads the distinct lines
+of the counted pass and the rows of the row-by-row reading alike: a cheap
+inline test (field count, a score in [0, float max]), and the full check
+of ``_parse_row`` for the first row of each (component, group) and any row
+the inline test refuses. ``load_json`` converts and checks each group's
+list as one array, and checks element by element only a list that fails.
+The full checks produce every diagnostic and cite its row or JSON path.
 The writers quote the labels once per group and format the scores in
 blocks of ``_WRITE_BLOCK``. ``dumps_csv`` and ``dumps_json`` collect the
 blocks into one string; ``save_csv`` and ``save_json`` stream them block by
@@ -47,7 +50,7 @@ import json
 import math
 import sys
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -121,10 +124,11 @@ def load_csv(
     ``csv.field_size_limit()``), is a ParseError in either mode.
 
     The rows after the header are first counted as distinct lines (see
-    ``_counted_buckets``), and each distinct line is parsed once. The file
-    is read again row by row, from line 1, when that count finds too many
+    ``_counted_buckets``), and the distinct lines are read once, through
+    the same row reader and check as the rows of the file. The file is
+    read again row by row, from line 1, when that count finds too many
     distinct lines, when a line holds a ``"`` (a quoted field can span
-    lines), or when a distinct line fails its check. So every diagnostic,
+    lines), or when a distinct line fails the check. So every diagnostic,
     row number and row count is that of the row-by-row reading.
     """
     path = Path(path)
@@ -186,8 +190,9 @@ def _counted_buckets(fh, columns):
     once over half of the lines read, or over half a block, are distinct.
     So the count holds at most one and a half blocks of distinct lines,
     whatever the file's length. Every distinct line must be one complete
-    record (no ``"``) that passes ``_parse_row``. The arrays come out
-    ascending, each distinct line's score repeated as often as it occurs.
+    record (no ``"``), and together they must pass ``_read_rows`` in strict
+    mode. The arrays come out ascending, each distinct line's score
+    repeated as often as it occurs.
     """
     counts: Counter[str] = Counter()
     read = 0
@@ -201,41 +206,23 @@ def _counted_buckets(fh, columns):
             break
     if any('"' in line for line in counts):
         return None
-    # each distinct line checked as _read_rows checks a row
-    (_, gi), (_, ci), (_, si) = columns
-    scores: dict[tuple[str, str], tuple[array, array]] = {}
-    rows = 0
     try:
         # one record per line, as no line holds a quote
-        for record, n in zip(csv.reader(counts), counts.values()):
-            if not record:  # a blank line
-                continue
-            try:
-                values, repeats = scores[record[ci], record[gi]]
-                score = float(record[si])
-            except (IndexError, KeyError, ValueError):
-                try:
-                    score = _parse_row(record, 0, columns)
-                except ParseError:
-                    return None
-                values, repeats = scores.setdefault(
-                    (record[ci], record[gi]), (array("d"), array("q"))
-                )
-            if not 0.0 <= score <= _FLOAT_MAX:  # false for nan, inf and negatives
-                return None
-            rows += n
-            values.append(score)
-            repeats.append(n)
-    except csv.Error:
+        buckets, _ = _read_rows(csv.reader(counts), columns, True, [])
+    except (ParseError, csv.Error):
         return None
-    buckets: dict[str, dict[str, np.ndarray]] = {}
-    for (cid, label), (values, repeats) in scores.items():
-        values = np.frombuffer(values, np.float64)
-        order = np.argsort(values)
-        buckets.setdefault(cid, {})[label] = np.repeat(
-            values[order], np.frombuffer(repeats, np.int64)[order]
-        )
-    return buckets, rows
+    # _read_rows keeps each group's lines in the order they are counted
+    (_, gi), (_, ci), _ = columns
+    repeats: defaultdict[tuple[str, str], list[int]] = defaultdict(list)
+    for record, n in zip(csv.reader(counts), counts.values()):
+        if record:  # not a blank line
+            repeats[record[ci], record[gi]].append(n)
+    for cid, groups in buckets.items():
+        for label, values in groups.items():
+            values = np.frombuffer(values, np.float64)
+            order = np.argsort(values)
+            groups[label] = np.repeat(values[order], np.array(repeats[cid, label])[order])
+    return buckets, sum(map(sum, repeats.values()))
 
 
 def _read_rows(reader, columns, strict: bool, warnings: list[Diagnostic]):

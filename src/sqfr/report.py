@@ -52,11 +52,15 @@ def parse_measure_list(spec: str | None) -> tuple[str, ...] | None:
 
 def check_precision(precision: int) -> None:
     """Raise ConfigError unless ``precision``, the decimal places of csv and
-    markdown output, is an int >= 0 (a bool is not an int here)."""
+    markdown output, is an int in [0, 1074] (a bool is not an int here).
+    1074 is the most fractional digits of any double's exact decimal
+    expansion; more digits would only pad zeros."""
     if not is_int(precision):
         raise ConfigError(f"precision must be an integer, got {precision!r}")
     if precision < 0:
         raise ConfigError(f"precision must be >= 0, got {precision}")
+    if precision > 1074:
+        raise ConfigError(f"precision must be <= 1074, got {precision}")
 
 
 @dataclass
@@ -158,7 +162,7 @@ def to_csv(report: FairnessReport) -> str:
 def to_markdown(report: FairnessReport) -> str:
     precision = report.metadata["precision"]
     lines = ["# Fairness report", ""]
-    lines += [f"- {k}: {v}" for k, v in report.metadata.items() if k != "measures"]
+    lines += [f"- {k}: {_md_inline(v)}" for k, v in report.metadata.items() if k != "measures"]
     for c in report.components:
         lines += ["", f"## Component {_md_inline(c.component)}", ""]
         lines.append("| group | count | mean | median | lwm |")

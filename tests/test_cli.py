@@ -198,6 +198,8 @@ class TestBadNumericParameters:
     @pytest.mark.parametrize("env, argv", [
         ({"SQFR_PRECISION": "abc"}, []),
         ({}, ["--precision", "-1"]),
+        ({}, ["--precision", "2147483648"]),
+        ({"SQFR_PRECISION": "2147483648"}, []),
     ])
     def test_bad_precision_exits_2(self, q2_csv, monkeypatch, capsys, env, argv):
         monkeypatch.delenv("SQFR_PRECISION", raising=False)

@@ -19,7 +19,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sqfr.dataset
 from sqfr import GroupedScores, ParseError, ValidationError, builtin_scenarios, generate
@@ -606,3 +606,28 @@ def test_written_and_reloaded_csv_equals_the_oracle_load(tmp_path_factory, doc):
     loaded = assert_csv_parity(path)
     assert loaded[0] == "loaded"
     assert loaded[3] == sum(len(v) for groups in doc.values() for v in groups.values())
+
+
+#: labels the CSV writer leaves unquoted, so that each line is one record
+bare_labels = labels.filter(lambda label: "," not in label)
+
+
+@given(
+    st.dictionaries(bare_labels, st.dictionaries(bare_labels, scores, min_size=2, max_size=4),
+                    min_size=1, max_size=3),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_rows_written_thrice_in_any_order_load_through_the_counted_pass(
+        tmp_path_factory, counted, doc, rnd):
+    comps = {cid: GroupedScores(cid, groups) for cid, groups in doc.items()}
+    # split at LF only: str.splitlines would also split a label at \x0b, \x85 or \u2028
+    header, *rows = dumps_csv(comps).removesuffix("\n").split("\n")
+    rows *= 3
+    rnd.shuffle(rows)
+    path = tmp_path_factory.mktemp("thrice") / "d.csv"
+    path.write_text("\n".join([header, *rows, ""]), encoding="utf-8")
+    counted.clear()
+    assert assert_csv_parity(path)[0] == "loaded"
+    assert counted == [True, True]

@@ -94,6 +94,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("kwargs, error, match", [
         ({"precision": -1}, ConfigError, "precision must be >= 0, got -1"),
+        ({"precision": 1075}, ConfigError, "precision must be <= 1074, got 1075"),
         ({"precision": 2.0}, ConfigError, "precision must be an integer, got 2.0"),
         ({"precision": True}, ConfigError, "precision must be an integer, got True"),
         ({"threshold_step": "1"}, DomainError, "threshold step must be finite and positive, got '1'"),
@@ -127,6 +128,13 @@ class TestSerialization:
         assert rows[0][0] == "component"
         assert rows[2][rows[0].index("mean-gc-sqfr")] == "0.95"
 
+    def test_csv_takes_the_largest_precision(self, dataset):
+        # 1074 places spell any double exactly
+        report = build_report(dataset, selected=["mean_gc_sqfr"], precision=1074)
+        value = list(csv.reader(io.StringIO(to_csv(report))))[2][1]
+        assert len(value.partition(".")[2]) == 1074
+        assert float(value) == report.components[1].measures["mean_gc_sqfr"]
+
     def test_csv_and_json_agree_cell_by_cell(self, dataset):
         report = build_report(dataset, precision=4)
         doc = json.loads(to_json(report))
@@ -156,6 +164,10 @@ class TestSerialization:
         assert rows[:3] == ["| A<br>B", "| C<br>D", r"| E<br>\|F"]
         # the JSON report keeps the component id as it is
         assert json.loads(to_json(report))["components"][0]["component"] == "q\r\n1"
+
+    def test_markdown_keeps_a_line_break_in_the_input_path_on_its_line(self, dataset):
+        report = build_report(dataset, input_path="a\nb|c.csv")
+        assert r"- input: a<br>b\|c.csv" in to_markdown(report).splitlines()
 
     def test_render_dispatch(self, dataset):
         report = build_report(dataset)
