@@ -37,9 +37,12 @@ the inline test refuses. ``load_json`` converts and checks each group's
 list as one array, and checks element by element only a list that fails.
 The full checks produce every diagnostic and cite its row or JSON path.
 The writers quote the labels once per group and format the scores in
-blocks of ``_WRITE_BLOCK``. ``dumps_csv`` and ``dumps_json`` collect the
-blocks into one string; ``save_csv`` and ``save_json`` stream them block by
-block into the file, so a save never holds the whole text.
+blocks of ``_WRITE_BLOCK``. In a block whose values repeat, as quantized
+scores do, each distinct score is formatted once and its text reused for
+every row that holds it; a block with few repeats is formatted score by
+score. ``dumps_csv`` and ``dumps_json`` collect the blocks into one string;
+``save_csv`` and ``save_json`` stream them block by block into the file, so
+a save never holds the whole text.
 """
 
 from __future__ import annotations
@@ -68,8 +71,12 @@ UNBALANCE_RATIO = 10.0
 _FLOAT_MAX = sys.float_info.max
 
 #: Rows of one group that the writers format with one string join; bounds
-#: the Python floats and strings alive at once.
+#: the Python floats and strings alive at once, and the scores one
+#: ``np.unique`` sorts to find the distinct values it spells once.
 _WRITE_BLOCK = 65536
+
+#: Leading scores of a write block counted to tell whether its values repeat.
+_SAMPLE = 1024
 
 #: Lines load_csv counts between checks that most of them repeat; at most
 #: half as many distinct lines are counted before it reads row by row.
@@ -514,9 +521,9 @@ def _write_csv(data, out) -> None:
             prefix = line.getvalue()[:-1]
             sep = "\n" + prefix
             for start in range(0, scores.size, _WRITE_BLOCK):
-                block = scores[start:start + _WRITE_BLOCK].tolist()
+                block = scores[start:start + _WRITE_BLOCK]
                 out.write(prefix)
-                out.write(sep.join(map(repr, block)))
+                out.write(sep.join(_score_texts(block, repr)))
                 out.write("\n")
 
 
@@ -527,15 +534,42 @@ def _write_json(data, out) -> None:
         out.write(f'{"," if i else ""}\n    {_json_key(cid)}: {{')
         for j, (label, scores) in enumerate(grouped.groups.items()):
             out.write(f'{"," if j else ""}\n      {_json_key(label)}: [')
-            # json.dumps spells nan and inf as NaN and Infinity; repr suffices otherwise
-            number = repr if np.isfinite(scores).all() else json.dumps
             for start in range(0, scores.size, _WRITE_BLOCK):
-                block = scores[start:start + _WRITE_BLOCK].tolist()
+                block = scores[start:start + _WRITE_BLOCK]
                 out.write(",\n        " if start else "\n        ")
-                out.write(",\n        ".join(map(number, block)))
+                out.write(",\n        ".join(_score_texts(block, _json_number)))
             out.write("\n      ]" if scores.size else "]")
         out.write("\n    }" if grouped.groups else "}")
     out.write("\n  }\n}\n" if components else "}\n}\n")
+
+
+def _json_number(value: float) -> str:
+    """``value`` as ``json.dumps`` spells it: NaN and Infinity are not reprs."""
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
+def _score_texts(block: np.ndarray, number) -> list[str]:
+    """The texts of ``block``'s scores in row order, each as ``number``
+    spells it; ``number`` must spell a finite score as its repr.
+
+    Quantized scores repeat: a block of them holds a few dozen distinct
+    values, so each distinct bit pattern (-0.0 is not 0.0, and NaN payloads
+    stay apart) is spelled once and the texts are gathered back into row
+    order. A finite block that looks at least half distinct, as unquantized
+    scores are, is spelled score by score, the faster way when all differ.
+    The look counts the repeats among its first ``n`` of ``N`` scores. With
+    a share ``s`` of the block distinct, in random order, that is about
+    ``n**2 / (2 * N) * (1 / s - 1)``, and exactly ``N - s * N`` when
+    ``n == N``; so at most ``n**2 / (2 * N)`` repeats reads as ``s >= 1/2``.
+    """
+    bits = block.view(np.int64)
+    head = bits[:_SAMPLE]
+    repeats = head.size - np.unique(head).size
+    if 2 * repeats * bits.size <= head.size ** 2 and np.isfinite(block).all():
+        return list(map(repr, block.tolist()))
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(number, distinct.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 def _json_key(key) -> str:

@@ -180,8 +180,9 @@ def to_markdown(report: FairnessReport) -> str:
 
 def _md_inline(text) -> str:
     """``text`` kept on one markdown line and in one table cell: a bare |
-    would end the cell, and a line break the row or heading."""
-    text = str(text).replace("|", r"\|")
+    would end the cell, and a line break the row or heading. A backslash is
+    escaped first, so that one before a | cannot escape the | escape."""
+    text = str(text).replace("\\", "\\\\").replace("|", r"\|")
     return text.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
 
 

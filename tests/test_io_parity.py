@@ -488,7 +488,7 @@ def test_dumps_csv_matches_on_labels_that_need_quoting():
 
 def test_dumps_csv_matches_across_write_blocks():
     scores = np.random.default_rng(3).uniform(0, 100, 200_001)
-    grouped = GroupedScores("q", {"A": scores, "B": scores[:7]})
+    grouped = GroupedScores("q", {"A": scores, "B": scores[:7], "C": np.floor(scores)})
     assert dumps_csv(grouped) == oracle_dumps_csv({"q": grouped})
 
 
@@ -530,8 +530,50 @@ def test_dumps_json_matches_on_labels_that_are_not_str():
 
 def test_dumps_json_matches_across_write_blocks():
     scores = np.random.default_rng(4).uniform(0, 100, 200_001)
-    grouped = GroupedScores("q", {"A": scores, "B": scores[:7]})
+    grouped = GroupedScores("q", {"A": scores, "B": scores[:7], "C": np.floor(scores)})
     assert dumps_json(grouped) == oracle_dumps_json({"q": grouped})
+
+
+def _mixed_scores():
+    """Runs of repeats, of lengths that cross write blocks of 3 and of 7,
+    around an all-distinct stretch; both zeros and both infinities side by
+    side, NaNs of two payloads, and values whose repr is unusual."""
+    other_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+    runs = np.repeat([80.0, 81.0, 0.0, -0.0, 5e-324, 1e16, 2.0**53 + 2, np.inf, -np.inf],
+                     [5, 8, 2, 3, 4, 9, 3, 2, 4])
+    oddities = [0.0, -0.0, np.nan, other_nan, np.nan, other_nan, np.inf, -np.inf, 1e16]
+    distinct = np.random.default_rng(7).uniform(0, 100, 23)
+    return np.concatenate([runs, distinct, oddities, runs[::-1], distinct[:5]])
+
+
+@pytest.mark.parametrize("block", [3, 7])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writers_match_the_oracle_on_repeated_and_distinct_blocks(monkeypatch, tmp_path, block, fmt):
+    monkeypatch.setattr(sqfr.dataset, "_WRITE_BLOCK", block)
+    dumps, save, oracle = {"csv": (dumps_csv, save_csv, oracle_dumps_csv),
+                           "json": (dumps_json, save_json, oracle_dumps_json)}[fmt]
+    mixed = _mixed_scores()
+    comps = {"q": GroupedScores("q", {"A": mixed, "B": [0.0, -0.0, 0.0, -0.0], "C": mixed[:1]})}
+    gathered = []  # the size of each block spelled per distinct value
+    unique = np.unique
+
+    def spy(ar, *args, **kwargs):
+        if kwargs.get("return_inverse"):
+            gathered.append(ar.size)
+        return unique(ar, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    text = dumps(comps)
+    assert text == oracle(comps)
+    blocks = sum(-(-len(g) // block) for g in comps["q"].groups.values())
+    assert 0 < len(gathered) < blocks
+    # finite blocks of one value each go per distinct value, distinct floats score by score
+    gathered.clear()
+    dumps({"r": GroupedScores("r", {"A": np.repeat([80.0, 81.0], block), "B": np.arange(block) + 0.5})})
+    assert gathered == [block, block]
+    path = tmp_path / f"d.{fmt}"
+    save(comps, path)
+    assert path.read_bytes() == text.encode("utf-8")
 
 
 #: Components that save_csv and save_json must write exactly as the
@@ -540,6 +582,7 @@ SAVE_CASES = {
     "longer-than-a-write-block": lambda: {"q": GroupedScores("q", {
         "A": np.random.default_rng(6).uniform(0, 100, 2 * sqfr.dataset._WRITE_BLOCK + 3),
         "Å": [1.0],
+        "quantized": np.floor(np.random.default_rng(6).uniform(0, 101, sqfr.dataset._WRITE_BLOCK + 9)),
     })},
     "labels-to-quote-or-escape": lambda: {
         'q"uote, \\': GroupedScores('q"uote, \\', {"new\nline\r": [1.5], "ünï €": [2.5], "": [3.5]}),

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -154,6 +155,14 @@ class TestSerialization:
         report = build_report(Dataset({"c": GroupedScores("c", {"A|1": [2.0, 2.0], "B": [1.0]})}))
         rows = [line for line in to_markdown(report).splitlines() if line.startswith("| A")]
         assert rows == [r"| A\|1 | 2 | 2.000 | 2.000 | 2.000 |"]
+
+    def test_markdown_escapes_a_backslash_before_a_pipe_in_a_group_label(self):
+        report = build_report(Dataset({"c": GroupedScores("c", {"a\\|b": [2.0], "c\\": [1.0]})}))
+        rows = [line for line in to_markdown(report).splitlines() if line[:3] in ("| a", "| c")]
+        assert rows == [r"| a\\\|b | 1 | 2.000 | 2.000 | 2.000 |",
+                        r"| c\\ | 1 | 1.000 | 1.000 | 1.000 |"]
+        # GFM splits a row at each | that no backslash escapes; \\ escapes a backslash
+        assert [len(re.findall(r"(?:\\.|[^|\\])+", row[1:-1])) for row in rows] == [5, 5]
 
     def test_markdown_keeps_a_line_break_in_a_label_on_its_line(self):
         groups = {"A\nB": [1.0, 2.0, 3.0], "C\rD": [4.0, 5.0, 6.0], "E\r\n|F": [7.0]}
