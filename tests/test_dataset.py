@@ -2,6 +2,7 @@
 
 import csv
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -205,6 +206,15 @@ class TestLoadJson:
     def test_duplicate_key_cites_json_path(self, tmp_path, doc, where, key):
         with pytest.raises(ParseError, match=rf"d\.json: {re.escape(where)}: duplicate key '{key}'"):
             load_json(write(tmp_path / "d.json", doc))
+
+    def test_nesting_near_the_recursion_limit_is_a_parse_error(self, tmp_path):
+        # the repeated key sits deepest: whether reading the document or finding
+        # the key runs out of stack first, the reader raises a ParseError
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 100, limit + 10, 10):
+            doc = '{"components": %s{"a": 1, "a": 2}%s}' % ("[" * depth, "]" * depth)
+            with pytest.raises(ParseError, match="duplicate key 'a'$|JSON nested too deeply to read$"):
+                load_json(write(tmp_path / "d.json", doc))
 
     def test_invalid_utf8_cites_byte(self, tmp_path):
         path = tmp_path / "d.json"

@@ -5,17 +5,7 @@ import pytest
 
 from sqfr import kernels
 
-
-def direct_kde(samples, grid, bandwidth):
-    """The defining per-sample Gaussian sum, one kernel per sample."""
-    samples = np.asarray(samples, dtype=np.float64)
-    u = (np.asarray(grid)[:, None] - samples[None, :]) / bandwidth
-    return np.exp(-0.5 * u * u).sum(axis=1) / (samples.size * bandwidth * np.sqrt(2 * np.pi))
-
-
-def direct_count(scores, thresholds):
-    """Per threshold, the defining count of scores strictly below it."""
-    return [int(np.sum(np.asarray(scores) < t)) for t in thresholds]
+from oracles import direct_count, direct_kde
 
 
 class TestCountBelow:

@@ -27,7 +27,7 @@ from sqfr import (
     sqfr,
 )
 
-from oracles import discard_recount, gini_literal, mdg_recount
+from oracles import discard_recount, gini_exact, gini_literal, mdg_recount
 
 # zero or comfortably normal floats: scaling by c in [1e-3, 1e3] must not
 # underflow the inputs themselves
@@ -94,17 +94,6 @@ class TestGiniProperties:
     @settings(max_examples=300)
     def test_result_in_unit_interval(self, values):
         assert 0.0 <= gini_coefficient(values) <= 1.0
-
-
-def gini_exact(values):
-    """The defining pair sum in exact rational arithmetic."""
-    xs = [Fraction(v) for v in values]
-    n = len(xs)
-    s = sum(xs)
-    if s == 0:
-        return 0.0
-    total = sum(abs(a - b) for a in xs for b in xs)
-    return float(total / (2 * (n - 1) * s))
 
 
 class TestExtremeMagnitudes:

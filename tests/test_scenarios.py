@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sqfr import (
     ConfigError,
@@ -24,6 +25,8 @@ from sqfr import (
     mean_aggregate,
     save_csv,
 )
+from sqfr.cli import main
+from sqfr.scenarios import DISTRIBUTIONS
 
 
 def normal_spec(seed=7, n=200):
@@ -180,7 +183,7 @@ class TestSpecValidation:
     def test_malformed_spec_document(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{"name": "x"}')
-        with pytest.raises(ConfigError, match="malformed"):
+        with pytest.raises(ConfigError, match="^scenario spec: missing field 'groups'$"):
             ScenarioSpec.from_json_file(path)
 
 
@@ -214,12 +217,25 @@ def spec_with(**changes):
 
 #: Spec documents that from_dict must reject, with the ConfigError each raises.
 INVALID_SPECS = [
-    (spec_with(name=""), "scenario name must be non-empty"),
+    (spec_with(name=""), "scenario name must be a non-empty string, got ''"),
+    (spec_with(name=["x"]), r"scenario name must be a non-empty string, got \['x'\]"),
+    ([spec_with()], "scenario spec must be an object, got list"),
     (spec_with(groups=[]), "has no groups"),
     (spec_with(C={"label": "A"}), "labels must be unique and non-empty"),
     (spec_with(C={"label": ""}), "labels must be unique and non-empty"),
+    (spec_with(C={"label": ["C"]}),
+     r"labels must be unique and non-empty strings, got \['A', 'B', \['C'\]\]"),
+    (spec_with(C={"label": {"C": 1}}), "labels must be unique and non-empty strings"),
+    (spec_with(C={"label": True}), "labels must be unique and non-empty strings"),
+    (spec_with(groups={"A": 1}), "groups must be a list of objects"),
+    (spec_with(groups=[1]), "groups must be a list of objects"),
+    (spec_with(A={"parameters": [50, 2]}),
+     r"group 'A': parameters must be an object, got \[50, 2\]"),
     (spec_with(clamp_range=[0, 0]), "clamp_range must be"),
     (spec_with(clamp_range=[0, 1, 2]), "clamp_range must be"),
+    (spec_with(clamp_range=[-50, 100]),
+     r"clamp_range must be .* with 0 <= low < high, got \[-50, 100\]"),
+    (spec_with(clamp_range={"low": 0}), "clamp_range must be two finite numbers"),
     (spec_with(A={"distribution": "poisson"}), "unknown distribution 'poisson'"),
     (spec_with(A={"sample_count": 0}), "sample_count must be >= 1"),
     # checked before anything is drawn, so neither count is ever allocated
@@ -234,14 +250,16 @@ INVALID_SPECS = [
     (spec_with(B={"parameters": {"means": [1], "stddevs": 1, "weights": [1]}}),
      "mixture needs non-empty list 'stddevs'"),
     (spec_with(B={"parameters": {"means": [1, 2], "stddevs": [1], "weights": [1]}}),
-     "mixture parameter lists must have equal length"),
+     "mixture parameter lists must have equal length; got 2 'means', 1 'stddevs' and 1 'weights'"),
     (spec_with(B={"parameters": {"means": [1, 2], "stddevs": [1, -1], "weights": [0.5, 0.5]}}),
      "stddevs must be >= 0"),
     (spec_with(B={"parameters": {"means": [1, 2], "stddevs": [1, 1], "weights": [1.5, -0.5]}}),
      "non-negative and sum to 1"),
-    ({"name": "x", "seed": 1}, "malformed scenario spec: KeyError"),
-    (spec_with(seed="one"), "malformed scenario spec: ValueError"),
-    (spec_with(A={"sample_count": None}), "malformed scenario spec: TypeError"),
+    ({"name": "x", "seed": 1}, "^scenario spec: missing field 'groups'$"),
+    (spec_with(groups=[{"label": "A"}]),
+     r"^scenario spec: missing field 'groups\[0\]\.distribution'$"),
+    (spec_with(seed="one"), "seed must be a non-negative integer, got 'one'"),
+    (spec_with(A={"sample_count": None}), "sample_count must be an integer, got None"),
     (spec_with(A={"parameters": {"mean": 50, "stddev": "x"}}),
      "parameter 'stddev' must be a finite number, got 'x'"),
     (spec_with(clamp_range=[0, "100"]), "clamp_range must be two finite numbers"),
@@ -253,7 +271,40 @@ INVALID_SPECS = [
     (spec_with(A={"sample_count": 2.9}), "sample_count must be an integer"),
     (spec_with(A={"parameters": {"mean": 10**400, "stddev": 2}}),
      "parameter 'mean' must be a finite number, got 1000"),
+    # each weight is a finite number, but their sum is beyond the float range
+    (spec_with(B={"parameters": {"means": [1, 2], "stddevs": [1, 1], "weights": [10**308] * 2}}),
+     "non-negative and sum to 1"),
 ]
+
+#: JSON values of every type, nested a little: what a spec file may hold in any field.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.text(max_size=3) | st.sampled_from(["A", "B", *DISTRIBUTIONS]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=5,
+)
+
+#: The path of each field of valid_spec_doc(), with the words one of which
+#: the message refusing a value in that field holds. A wrong distribution or
+#: parameter object is refused by naming the parameters the group lacks.
+SPEC_FIELDS = {
+    ("name",): ("name",),
+    ("seed",): ("seed",),
+    ("groups",): ("groups",),
+    ("clamp_range",): ("clamp_range",),
+    ("quantize",): ("quantize",),
+    ("groups", 0, "label"): ("label",),
+    ("groups", 0, "distribution"): ("distribution", "needs"),
+    ("groups", 0, "parameters"): ("parameters", "needs"),
+    ("groups", 0, "sample_count"): ("sample_count",),
+    ("groups", 0, "parameters", "mean"): ("'mean'",),
+    ("groups", 0, "parameters", "stddev"): ("stddev",),
+    ("groups", 1, "parameters", "means"): ("'means'",),
+    ("groups", 1, "parameters", "stddevs"): ("stddevs",),
+    ("groups", 1, "parameters", "weights"): ("weights",),
+    ("groups", 2, "parameters", "value"): ("'value'",),
+}
 
 
 class TestSpecFromDict:
@@ -289,11 +340,103 @@ class TestSpecFromDict:
         with pytest.raises(ConfigError, match=match):
             generate(spec)
 
+    @given(st.sampled_from(list(SPEC_FIELDS)), json_values)
+    @settings(max_examples=600, deadline=None)
+    def test_any_json_value_in_any_field(self, tmp_path_factory, field, value):
+        """The spec is accepted or refused with a ConfigError naming the
+        field, alike from the document and from its JSON file."""
+        doc = valid_spec_doc()
+        *parents, key = field
+        target = doc
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        path = tmp_path_factory.mktemp("spec") / "spec.json"
+        path.write_text(json.dumps(doc))
+        outcomes = []
+        for load in (lambda: ScenarioSpec.from_dict(doc), lambda: ScenarioSpec.from_json_file(path)):
+            try:
+                load()
+            except ConfigError as exc:
+                assert any(word in str(exc) for word in SPEC_FIELDS[field]), str(exc)
+                outcomes.append(str(exc))
+            else:
+                outcomes.append(None)
+        assert outcomes[0] == outcomes[1]
+
+    def test_duplicate_key_cites_its_json_path(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"name": "x", "seed": 1, "groups": [{"label": "A", "label": "B"}]}')
+        with pytest.raises(ConfigError, match=r"spec\.json: groups\[0\]: duplicate key 'label'$"):
+            ScenarioSpec.from_json_file(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ("[" * 100_000 + "]" * 100_000, "JSON nested too deeply to read"),
+        ('{"name": "x", "seed": %s}' % ("1" * 5000), "invalid JSON: Exceeds the limit"),
+    ], ids=["deep", "long-integer"])
+    def test_json_the_reader_cannot_hold(self, tmp_path, text, match):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            ScenarioSpec.from_json_file(path)
+
     def test_file_that_is_not_json(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text("name: x\nseed: 1\n")
         with pytest.raises(ConfigError, match=r"spec\.json: invalid JSON"):
             ScenarioSpec.from_json_file(path)
+
+
+#: Names and labels a CSV dataset can hold.
+csv_labels = st.text(
+    st.characters(blacklist_characters='"\r\n', blacklist_categories=("Cs",)),
+    min_size=1, max_size=4,
+)
+
+
+@st.composite
+def small_specs(draw):
+    """A valid spec document of two to four small groups."""
+    groups = []
+    for label in draw(st.lists(csv_labels, min_size=2, max_size=4, unique=True)):
+        distribution = draw(st.sampled_from(DISTRIBUTIONS))
+        if distribution == "normal":
+            parameters = {"mean": draw(st.floats(-50, 150)), "stddev": draw(st.floats(0, 30))}
+        elif distribution == "constant":
+            parameters = {"value": draw(st.floats(0, 150))}
+        else:
+            k = draw(st.integers(1, 3))
+            shares = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+            parameters = {
+                "means": draw(st.lists(st.floats(-50, 150), min_size=k, max_size=k)),
+                "stddevs": draw(st.lists(st.floats(0, 30), min_size=k, max_size=k)),
+                "weights": [n / sum(shares) for n in shares],
+            }
+        groups.append({"label": label, "distribution": distribution, "parameters": parameters,
+                       "sample_count": draw(st.integers(1, 30))})
+    low = draw(st.floats(0, 100))
+    return {
+        "name": draw(csv_labels),
+        "seed": draw(st.integers(0, 2**64)),
+        "clamp_range": [low, draw(st.floats(low, 200).filter(lambda high: high > low))],
+        "quantize": draw(st.booleans()),
+        "groups": groups,
+    }
+
+
+@given(small_specs())
+@settings(max_examples=40, deadline=None)
+def test_simulated_csv_and_json_give_the_same_report(tmp_path_factory, doc):
+    work = tmp_path_factory.mktemp("sim")
+    spec = work / "spec.json"
+    spec.write_text(json.dumps(doc))
+    reports = []
+    for suffix in ("csv", "json"):
+        data, report = work / f"sim.{suffix}", work / f"report-{suffix}.csv"
+        assert main(["simulate", "--spec", str(spec), "--out", str(data)]) == 0
+        assert main(["eval", "--input", str(data), "--format", "csv", "--out", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
 
 
 class TestBuiltinScenarios:
