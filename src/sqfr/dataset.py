@@ -357,8 +357,9 @@ def _json_scores(values: list, where: str) -> np.ndarray:
 
 def read_json(path, error: type[Exception]):
     """The document in the UTF-8 JSON file ``path``. Raises ``error`` for
-    bytes that are not UTF-8, invalid JSON, or a key repeated within one
-    object, citing that object's JSON path (``$`` for the top level)."""
+    bytes that are not UTF-8, invalid JSON, an integer of more digits than
+    ``int()`` takes, or a key repeated within one object, citing the JSON
+    path (``$`` for the top level) where it can be found."""
     repeated: dict[int, tuple[dict, str]] = {}
 
     def keep_repeats(pairs):
@@ -372,30 +373,51 @@ def read_json(path, error: type[Exception]):
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh, object_pairs_hook=keep_repeats)
-            found = _first_repeat(doc, "", repeated) if repeated else None
+            found = _first_path(doc, "", lambda node: id(node) in repeated) if repeated else None
         except UnicodeDecodeError as exc:  # the whole file is decoded at once
             raise error(f"{path}: invalid UTF-8 at byte {exc.start}") from None
-        except ValueError as exc:  # also an integer of more digits than int() takes
+        except json.JSONDecodeError as exc:
             raise error(f"{path}: invalid JSON: {exc}") from None
+        except ValueError:  # only an integer of more digits than int() takes
+            where = _long_integer_path(path)
+            at = "" if where is None else f" {where or '$'}:"
+            raise error(f"{path}:{at} invalid JSON: integer of over"
+                        f" {sys.get_int_max_str_digits()} digits") from None
         except RecursionError:
             raise error(f"{path}: JSON nested too deeply to read") from None
     if found:
-        raise error(f"{path}: {found[0] or '$'}: duplicate key {found[1]!r}")
+        where, obj = found
+        raise error(f"{path}: {where or '$'}: duplicate key {repeated[id(obj)][1]!r}")
     return doc
 
 
-def _first_repeat(node, where: str, repeated: dict):
-    """(JSON path, key) of the first object, in document order, listed in ``repeated``."""
+def _long_integer_path(path):
+    """JSON path of the first integer in ``path`` of more digits than
+    ``int()`` takes, or None if reading the file again cannot place one."""
+    too_long = object()
+    limit = sys.get_int_max_str_digits()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh, parse_int=lambda s: too_long if len(s.lstrip("-")) > limit else 0)
+        found = _first_path(doc, "", lambda node: node is too_long)
+    except (ValueError, RecursionError):  # a later fault of the file
+        return None
+    return None if found is None else found[0]
+
+
+def _first_path(node, where: str, hit):
+    """(JSON path, node) of the first node in document order for which
+    ``hit`` holds, or None."""
+    if hit(node):
+        return where, node
     if isinstance(node, dict):
-        if id(node) in repeated:
-            return where, repeated[id(node)][1]
         children = ((f"{where}.{k}" if where else k, v) for k, v in node.items())
     elif isinstance(node, list):
         children = ((f"{where}[{i}]", v) for i, v in enumerate(node))
     else:
         return None
     for child_where, child in children:
-        found = _first_repeat(child, child_where, repeated)
+        found = _first_path(child, child_where, hit)
         if found is not None:
             return found
     return None

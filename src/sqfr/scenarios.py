@@ -14,6 +14,16 @@ documented transform:
 
 Groups consume the stream in listed order. The same transform re-derives
 the identical samples in any language with IEEE doubles and PCG64.
+
+Each group is drawn in the buffer of its own raw draws: a normal draw's
+2*ceil(n/2) raws become its samples, block by block of ``_DRAW_BLOCK``
+(a block's u1 slots take its cosine branch and its u2 slots its sine
+branch), and scaling, shifting, clamping and rounding run in place. A
+mixture writes its picks over the int64 view of its n raws. So generation
+holds the samples of the groups before, at most two group-sized buffers
+(the group being drawn and a mixture's picks) and one block of
+temporaries. The values, and so the written bytes, are those of the
+transform above step for step, whatever the block size.
 """
 
 from __future__ import annotations
@@ -31,6 +41,10 @@ from .types import GroupedScores, is_finite_number, is_int
 DISTRIBUTIONS = ("normal", "mixture_of_normals", "constant")
 
 _TWO_PI = 2.0 * math.pi
+
+#: Draws transformed per step: the block temporaries of ``generate`` are
+#: this many float64 values each, whatever the group size.
+_DRAW_BLOCK = 1 << 14
 
 #: Samples one group, and one scenario in all, may ask for; checked before
 #: anything is drawn, so an oversized spec is refused rather than allocated.
@@ -181,46 +195,73 @@ def _require_finite(where: str, key: str, values) -> None:
             raise ConfigError(f"{where}: parameter '{key}' must be a finite number, got {value!r}")
 
 
-def _uniforms(bitgen, count: int) -> np.ndarray:
-    raw = bitgen.random_raw(count)
-    return ((raw >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """The uniforms of the raw draws ``raw``, written over them as float64."""
+    raw >>= np.uint64(11)
+    raw += np.uint64(1)
+    return np.multiply(raw, 2.0**-53, out=raw.view(np.float64))
 
 
 def _normals(bitgen, count: int) -> np.ndarray:
+    """``count`` standard normals in the buffer of their own raw draws: each
+    block's cosine branch goes over its u1 slots and its sine branch over
+    its u2 slots, so the first ``count`` slots hold the documented order."""
     half = (count + 1) // 2
-    u1 = _uniforms(bitgen, half)
-    u2 = _uniforms(bitgen, half)
-    r = np.sqrt(-2.0 * np.log(u1))
-    return np.concatenate([r * np.cos(_TWO_PI * u2), r * np.sin(_TWO_PI * u2)])[:count]
+    raw = bitgen.random_raw(2 * half)
+    for start in range(0, half, _DRAW_BLOCK):
+        stop = min(start + _DRAW_BLOCK, half)
+        r = _uniforms(raw[start:stop])
+        angle = _uniforms(raw[half + start:half + stop])
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        angle *= _TWO_PI
+        cos = np.cos(angle)
+        np.sin(angle, out=angle)
+        angle *= r
+        r *= cos
+    return raw.view(np.float64)[:count]
 
 
 def generate(spec: ScenarioSpec) -> GroupedScores:
     """Draw the scenario's samples; pure function of the spec (seed included)."""
     spec.require_valid()
     bitgen = np.random.PCG64(spec.seed)
-    lo, hi = spec.clamp_range
+    # float() converts as numpy does, and keeps every in-place step float64
+    lo, hi = map(float, spec.clamp_range)
     groups: dict[str, np.ndarray] = {}
     for g in spec.groups:
         n = g.sample_count
         p = g.parameters
         if g.distribution == "constant":
             # emits the exact requested value: clamped but never quantized
-            x = np.clip(np.full(n, float(p["value"])), lo, hi)
-            groups[g.label] = x
+            x = np.full(n, float(p["value"]))
+            groups[g.label] = np.clip(x, lo, hi, out=x)
             continue
         if g.distribution == "normal":
-            x = p["mean"] + p["stddev"] * _normals(bitgen, n)
+            x = _normals(bitgen, n)
+            x *= float(p["stddev"])
+            x += float(p["mean"])
         else:
-            weights = np.asarray(p["weights"], dtype=np.float64)
-            cum = np.cumsum(weights)
-            picks = np.searchsorted(cum, _uniforms(bitgen, n), side="left")
-            picks = np.minimum(picks, weights.size - 1)
-            means = np.asarray(p["means"], dtype=np.float64)[picks]
-            stddevs = np.asarray(p["stddevs"], dtype=np.float64)[picks]
-            x = means + stddevs * _normals(bitgen, n)
-        x = np.clip(x, lo, hi)
+            cum = np.cumsum(np.asarray(p["weights"], dtype=np.float64))
+            picks = bitgen.random_raw(n).view(np.int64)
+            for start in range(0, n, _DRAW_BLOCK):
+                block = picks[start:start + _DRAW_BLOCK]
+                u = _uniforms(block.view(np.uint64))
+                np.minimum(np.searchsorted(cum, u, side="left"), cum.size - 1, out=block)
+            means = np.asarray(p["means"], dtype=np.float64)
+            stddevs = np.asarray(p["stddevs"], dtype=np.float64)
+            x = _normals(bitgen, n)
+            for start in range(0, n, _DRAW_BLOCK):
+                block = picks[start:start + _DRAW_BLOCK]
+                part = x[start:start + _DRAW_BLOCK]
+                part *= stddevs.take(block)
+                part += means.take(block)
+            del picks  # freed before the next group draws
+        np.clip(x, lo, hi, out=x)
         if spec.quantize:
-            x = np.clip(np.rint(x), lo, hi)
+            np.rint(x, out=x)
+            np.clip(x, lo, hi, out=x)
         groups[g.label] = x
     return GroupedScores(spec.name, groups)
 

@@ -81,6 +81,18 @@ class TestEval:
         err = capsys.readouterr().err
         assert err == f"error: {path}: components.q.B[0]: score is not finite\n"
 
+    @pytest.mark.parametrize("text, where", [
+        ('{"components": {"q": {"A": [1, 2], "B": [%s]}}}', " components.q.B[0]:"),
+        ("-%s", " $:"),
+        ('{"components": {"q": {"A": [%s], }}}', ""),  # read again, the file fails first
+    ], ids=["in-a-group", "top-level", "no-path"])
+    def test_json_integer_of_too_many_digits_exits_1(self, tmp_path, capsys, text, where):
+        path = tmp_path / "long.json"
+        path.write_text(text % ("9" * 5000))
+        assert main(["eval", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:{where} invalid JSON: integer of over 4300 digits\n")
+
     @pytest.mark.parametrize("name, data, where", [
         ("bad.csv", b"group,component,score\nA,q,1\nB,q,\xff2\n",
          "row 3: invalid UTF-8 at byte 32"),
@@ -281,6 +293,15 @@ class TestSimulate:
         out = tmp_path / "x.csv"
         assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {spec}: $: duplicate key 'seed'"]
+        assert not out.exists()
+
+    def test_spec_integer_of_too_many_digits_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"name": "x", "seed": %s, "groups": []}' % ("1" * 5000))
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {spec}: seed: invalid JSON: integer of over 4300 digits"]
         assert not out.exists()
 
     def test_mistyped_spec_field_exits_2(self, tmp_path, capsys):

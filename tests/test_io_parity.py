@@ -27,7 +27,7 @@ from sqfr.dataset import (
     Dataset,
     Diagnostic,
     Provenance,
-    _first_repeat,
+    _first_path,
     dumps_csv,
     dumps_json,
     load_csv,
@@ -117,8 +117,8 @@ def oracle_load_json(path):
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
     if repeated:
-        where, key = _first_repeat(doc, "", repeated)
-        raise ParseError(f"{path}: {where or '$'}: duplicate key {key!r}")
+        where, obj = _first_path(doc, "", lambda node: id(node) in repeated)
+        raise ParseError(f"{path}: {where or '$'}: duplicate key {repeated[id(obj)][1]!r}")
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: $: expected a top-level object")
     if "components" not in doc:

@@ -6,10 +6,12 @@ Values tagged "pinned:" were recorded once from the pinned generator
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import simulate as simulate_oracle
 
 from sqfr import (
     ConfigError,
@@ -24,6 +26,7 @@ from sqfr import (
     lwm_aggregate,
     mean_aggregate,
     save_csv,
+    scenarios,
 )
 from sqfr.cli import main
 from sqfr.scenarios import DISTRIBUTIONS
@@ -38,6 +41,35 @@ def normal_spec(seed=7, n=200):
         ],
         seed=seed,
     )
+
+
+#: One group of each kind the transform draws: a normal, mixtures of one to
+#: three components (one with a zero stddev) and a constant above the clamp.
+TRANSFORM_GROUPS = {
+    "normal": ("normal", {"mean": 60, "stddev": 15.5}),
+    "mix1": ("mixture_of_normals", {"means": [55.5], "stddevs": [20], "weights": [1]}),
+    "mix2": ("mixture_of_normals", {"means": [45, 75], "stddevs": [5, 10], "weights": [0.3, 0.7]}),
+    "mix3": ("mixture_of_normals",
+             {"means": [30, 60.25, 90], "stddevs": [8, 0, 8], "weights": [0.2, 0.5, 0.3]}),
+    "constant": ("constant", {"value": 95}),
+}
+
+
+def transform_doc(counts, quantize):
+    """A spec document of the TRANSFORM_GROUPS named in ``counts`` (label to
+    sample count), clamped to [40.25, 80.5]: both tails are cut, and rint
+    can leave the range, so the second clamp has work to do."""
+    groups = [{"label": label, "distribution": TRANSFORM_GROUPS[label][0],
+               "parameters": TRANSFORM_GROUPS[label][1], "sample_count": count}
+              for label, count in counts.items()]
+    return {"name": "bits", "seed": 12345, "clamp_range": [40.25, 80.5],
+            "quantize": quantize, "groups": groups}
+
+
+def assert_same_bits(got, want):
+    assert list(got) == list(want)
+    for label in want:
+        assert got[label].view(np.int64).tolist() == want[label].view(np.int64).tolist(), label
 
 
 class TestGenerate:
@@ -107,6 +139,40 @@ class TestGenerate:
         assert out == GroupedScores(out.component_id, drawn)
         assert all(g.flags.writeable for g in out.groups.values())
         assert out == generate(builtin_scenarios()["q3"])
+
+    @pytest.mark.parametrize("quantize", [True, False])
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_drawn_bits_equal_the_whole_array_oracle(self, monkeypatch, block, quantize):
+        # counts around one and two blocks: the normals go block by block
+        # over ceil(count/2) pairs, the mixture picks over count draws
+        monkeypatch.setattr(scenarios, "_DRAW_BLOCK", block)
+        edges = {1, 2, 3, block - 1, block, block + 1, 2 * block - 1, 2 * block,
+                 2 * block + 1, 2 * block + 2, 5 * block + 4} - {0}
+        for count in sorted(edges):
+            doc = transform_doc(dict.fromkeys(TRANSFORM_GROUPS, count), quantize)
+            assert_same_bits(generate(ScenarioSpec.from_dict(doc)).groups, simulate_oracle(doc))
+
+    @pytest.mark.parametrize("quantize", [True, False])
+    def test_drawn_bits_equal_the_oracle_around_the_block(self, quantize):
+        block = scenarios._DRAW_BLOCK
+        counts = {"normal": 2 * block + 1, "mix1": block + 1, "mix2": block - 1,
+                  "mix3": 2 * block, "constant": block}
+        doc = transform_doc(counts, quantize)
+        assert_same_bits(generate(ScenarioSpec.from_dict(doc)).groups, simulate_oracle(doc))
+
+    def test_generation_holds_little_beside_its_samples(self):
+        # each group is drawn in the buffer of its own raw draws, so beside
+        # the samples only a mixture's picks and one block of temporaries live
+        counts = {"normal": 200_000, "mix1": 200_001, "mix2": 199_999, "mix3": 200_000}
+        spec = ScenarioSpec.from_dict(transform_doc(counts, quantize=True))
+        tracemalloc.start()
+        try:
+            out = generate(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        sizes = [g.nbytes for g in out.groups.values()]
+        assert peak < sum(sizes) + 2 * max(sizes) + 4 * 2**20
 
     def test_pinned_q1_mean(self):
         out = generate(builtin_scenarios()["q1"])
@@ -372,7 +438,8 @@ class TestSpecFromDict:
 
     @pytest.mark.parametrize("text, match", [
         ("[" * 100_000 + "]" * 100_000, "JSON nested too deeply to read"),
-        ('{"name": "x", "seed": %s}' % ("1" * 5000), "invalid JSON: Exceeds the limit"),
+        ('{"name": "x", "seed": %s}' % ("1" * 5000),
+         r"spec\.json: seed: invalid JSON: integer of over 4300 digits$"),
     ], ids=["deep", "long-integer"])
     def test_json_the_reader_cannot_hold(self, tmp_path, text, match):
         path = tmp_path / "spec.json"
