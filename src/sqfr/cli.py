@@ -5,8 +5,9 @@ dataset file), plotdata (dataset -> histogram/density series), fixtures
 (print the builtin golden aggregates). Exit codes: 0 success, 1 I/O or
 parse failure, 2 validation or configuration failure. A report or plot is
 built in full before anything is written, so a non-zero exit never leaves a
-partial one behind; simulate streams its dataset into the file, which a
-failed write can leave partial.
+partial one behind. simulate checks its spec before it opens the output,
+then draws, writes and summarizes one group at a time, so it holds about
+one group; a failed write can leave the file partial.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__, dataset as dataset_io, plotdata, report, scenarios
 from .errors import ConfigError, DomainError, ParseError, ValidationError
-from .measures import THRESHOLD_MODES, _scale_free, check_sweep
+from .measures import THRESHOLD_MODES, _median, _scale_free, check_sweep
 
 PRECISION_ENV = "SQFR_PRECISION"
 
@@ -184,18 +185,27 @@ def _cmd_simulate(args) -> int:
         dataset_io.check_csv_label(spec.name, "scenario name")
         for g in spec.groups:
             dataset_io.check_csv_label(g.label, "group label")
-    grouped = scenarios.generate(spec)
-
-    save = dataset_io.save_json if fmt == "json" else dataset_io.save_csv
-    save(grouped, args.out)
-
-    lines = [f"wrote {args.out} (scenario '{spec.name}', seed {spec.seed})"]
-    lines.append("group  count  mean     median")
-    for label, values in grouped.groups.items():
-        mean, median = _scale_free(np.mean, values), _scale_free(np.median, values)
-        lines.append(f"{label:<6} {values.size:<6d} {mean:<8.3f} {median:<8.3f}")
-    print("\n".join(lines))
+    # the spec is checked here, before --out is opened; its groups are drawn as they are written
+    drawn = scenarios.draw_groups(spec)
+    summary = [f"wrote {args.out} (scenario '{spec.name}', seed {spec.seed})",
+               "group  count  mean     median"]
+    dataset_io.save_groups(spec.name, _summarized(drawn, summary), args.out, fmt)
+    print("\n".join(summary))
     return 0
+
+
+def _summarized(groups, lines: list[str]):
+    """The ``(label, samples)`` pairs of ``groups``, passed on one at a time.
+    When the next is asked for, the one passed on before is summarized in a
+    line appended to ``lines``: its mean, in draw order, and its median,
+    read off the group sorted in place."""
+    for label, values in groups:
+        yield label, values
+        mean = _scale_free(np.mean, values)
+        values.sort()
+        median = _scale_free(_median, values)
+        lines.append(f"{label:<6} {values.size:<6d} {mean:<8.3f} {median:<8.3f}")
+        del values  # let the group go before the next is drawn
 
 
 def _cmd_plotdata(args) -> int:

@@ -42,7 +42,8 @@ scores do, each distinct score is formatted once and its text reused for
 every row that holds it; a block with few repeats is formatted score by
 score. ``dumps_csv`` and ``dumps_json`` collect the blocks into one string;
 ``save_csv`` and ``save_json`` stream them block by block into the file, so
-a save never holds the whole text.
+a save never holds the whole text. ``save_groups`` runs the same loops on
+one component whose groups come one at a time, and keeps none it wrote.
 """
 
 from __future__ import annotations
@@ -497,18 +498,20 @@ def validate(dataset: Dataset) -> list[Diagnostic]:
     return out
 
 
-def _as_components(data) -> dict[str, GroupedScores]:
+def _as_components(data) -> list:
+    """(component id, (label, scores) pairs) for each component of ``data``,
+    the form the write loops take."""
     if isinstance(data, Dataset):
-        return data.components
-    if isinstance(data, GroupedScores):
-        return {data.component_id: data}
-    return dict(data)
+        data = data.components
+    elif isinstance(data, GroupedScores):
+        data = {data.component_id: data}
+    return [(cid, grouped.groups.items()) for cid, grouped in dict(data).items()]
 
 
 def dumps_csv(data) -> str:
     """Serialize components to CSV text (component, group, score rows)."""
     buf = io.StringIO()
-    _write_csv(data, buf)
+    _write_csv(_as_components(data), buf)
     return buf.getvalue()
 
 
@@ -516,7 +519,7 @@ def dumps_json(data) -> str:
     """Serialize components to the JSON dataset schema, as the text of
     ``json.dumps(doc, indent=2)`` with one score per line."""
     buf = io.StringIO()
-    _write_json(data, buf)
+    _write_json(_as_components(data), buf)
     return buf.getvalue()
 
 
@@ -532,7 +535,7 @@ def check_csv_label(value, what: str) -> None:
 def save_csv(data, path) -> None:
     """Write ``dumps_csv(data)`` to ``path`` as UTF-8, block by block."""
     with open(path, "w", encoding="utf-8") as fh:
-        _write_csv(data, fh)
+        _write_csv(_as_components(data), fh)
 
 
 def save_json(data, path) -> None:
@@ -540,39 +543,57 @@ def save_json(data, path) -> None:
     ``json.dump``, a save that fails part way (TypeError for a key JSON
     cannot spell, or OSError) may leave a partial file."""
     with open(path, "w", encoding="utf-8") as fh:
-        _write_json(data, fh)
+        _write_json(_as_components(data), fh)
 
 
-def _write_csv(data, out) -> None:
+def save_groups(component_id: str, groups, path, fmt: str) -> None:
+    """Write one component to ``path`` as UTF-8 in ``fmt`` ("csv" or "json"),
+    its groups taken from ``groups``, an iterable of ``(label, scores)``
+    pairs: the bytes ``save_csv`` or ``save_json`` write for
+    ``GroupedScores(component_id, dict(groups))``.
+
+    Each group is written before the next is taken, and the writer keeps
+    no reference to it, so groups drawn one at a time are held one at a
+    time. A save that fails part way may leave a partial file.
+    """
+    write = _write_json if fmt == "json" else _write_csv
+    with open(path, "w", encoding="utf-8") as fh:
+        write([(component_id, groups)], fh)
+
+
+def _write_csv(components, out) -> None:
     out.write("component,group,score\n")
-    for cid, grouped in _as_components(data).items():
-        for label, scores in grouped.groups.items():
+    for cid, groups in components:
+        for label, scores in groups:
             # quote the labels once per group; a float's repr needs no quoting
             line = io.StringIO()
             csv.writer(line, lineterminator="\n").writerow([cid, label, ""])
             prefix = line.getvalue()[:-1]
             sep = "\n" + prefix
             for start in range(0, scores.size, _WRITE_BLOCK):
-                block = scores[start:start + _WRITE_BLOCK]
                 out.write(prefix)
-                out.write(sep.join(_score_texts(block, repr)))
+                out.write(sep.join(_score_texts(scores[start:start + _WRITE_BLOCK], repr)))
                 out.write("\n")
+            del scores  # let a drawn group go before the loop asks for the next
 
 
-def _write_json(data, out) -> None:
-    components = _as_components(data)
+def _write_json(components, out) -> None:
     out.write('{\n  "components": {')
-    for i, (cid, grouped) in enumerate(components.items()):
-        out.write(f'{"," if i else ""}\n    {_json_key(cid)}: {{')
-        for j, (label, scores) in enumerate(grouped.groups.items()):
-            out.write(f'{"," if j else ""}\n      {_json_key(label)}: [')
+    comma = ""
+    for cid, groups in components:
+        out.write(f'{comma}\n    {_json_key(cid)}: {{')
+        comma, inner = ",", ""
+        for label, scores in groups:
+            out.write(f'{inner}\n      {_json_key(label)}: [')
+            inner = ","
             for start in range(0, scores.size, _WRITE_BLOCK):
-                block = scores[start:start + _WRITE_BLOCK]
                 out.write(",\n        " if start else "\n        ")
-                out.write(",\n        ".join(_score_texts(block, _json_number)))
+                out.write(",\n        ".join(
+                    _score_texts(scores[start:start + _WRITE_BLOCK], _json_number)))
             out.write("\n      ]" if scores.size else "]")
-        out.write("\n    }" if grouped.groups else "}")
-    out.write("\n  }\n}\n" if components else "}\n}\n")
+            del scores  # let a drawn group go before the loop asks for the next
+        out.write("\n    }" if inner else "}")
+    out.write("\n  }\n}\n" if comma else "}\n}\n")
 
 
 def _json_number(value: float) -> str:

@@ -175,7 +175,31 @@ def build_plotdata(
 def to_json(plot: PlotData) -> str:
     # the dataclass fields, read shallowly: asdict would deep-copy every float
     components = [{**vars(c), "groups": [vars(g) for g in c.groups]} for c in plot.components]
-    return json.dumps({"metadata": plot.metadata, "components": components}, indent=2) + "\n"
+    return _indented({"metadata": plot.metadata, "components": components}, "\n") + "\n"
+
+
+_SCALARS = {int, float, str, bool, type(None)}
+
+
+def _indented(value, pad: str) -> str:
+    """``json.dumps(value, indent=2)`` for a document of str-keyed dicts,
+    lists and scalars, ``pad`` being the newline and indent of its level.
+
+    Any ``indent`` sends ``json.dumps`` to the pure-Python encoder, so a
+    list of scalars, such as a density series, is spelled by the C encoder
+    with its newline and indent as the item separator.
+    """
+    if not value or not isinstance(value, (dict, list)):
+        return json.dumps(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = (f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if set(map(type, value)) <= _SCALARS:
+        body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+    else:
+        body = ("," + inner).join(_indented(v, inner) for v in value)
+    return "[" + inner + body + pad + "]"
 
 
 def to_csv(plot: PlotData) -> str:

@@ -19,16 +19,22 @@ Each group is drawn in the buffer of its own raw draws: a normal draw's
 2*ceil(n/2) raws become its samples, block by block of ``_DRAW_BLOCK``
 (a block's u1 slots take its cosine branch and its u2 slots its sine
 branch), and scaling, shifting, clamping and rounding run in place. A
-mixture writes its picks over the int64 view of its n raws. So generation
-holds the samples of the groups before, at most two group-sized buffers
-(the group being drawn and a mixture's picks) and one block of
-temporaries. The values, and so the written bytes, are those of the
-transform above step for step, whatever the block size.
+mixture draws its normals from a copy of the bit generator advanced past
+its n pick uniforms (``PCG64.advance``), then the picks from the
+generator block by block, and hands the stream on from the copy's state;
+so it holds no buffer of picks. ``draw_groups`` checks the spec and yields
+the groups one at a time, holding none it has handed out, so a caller
+that writes each group and lets it go, as ``sqfr simulate`` does, holds
+one group and one block of temporaries; ``generate`` keeps them all.
+The values, and so the written bytes, are those of the transform above
+step for step, whatever the block size.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +48,8 @@ DISTRIBUTIONS = ("normal", "mixture_of_normals", "constant")
 
 _TWO_PI = 2.0 * math.pi
 
-#: Draws transformed per step: the block temporaries of ``generate`` are
-#: this many float64 values each, whatever the group size.
+#: Draws transformed per step: the block temporaries of a group's draw are
+#: this many 8-byte values each, whatever the group size.
 _DRAW_BLOCK = 1 << 14
 
 #: Samples one group, and one scenario in all, may ask for; checked before
@@ -78,7 +84,8 @@ class ScenarioSpec:
 
     def require_valid(self) -> None:
         """Raise ConfigError naming the first field that is of the wrong type
-        or out of range; ``generate`` calls it on every spec."""
+        or out of range; ``draw_groups``, and so ``generate``, calls it on every
+        spec."""
         if not isinstance(self.name, str) or not self.name:
             raise ConfigError(f"scenario name must be a non-empty string, got {self.name!r}")
         if not isinstance(self.groups, list) or not all(isinstance(g, GroupSpec) for g in self.groups):
@@ -223,47 +230,72 @@ def _normals(bitgen, count: int) -> np.ndarray:
     return raw.view(np.float64)[:count]
 
 
-def generate(spec: ScenarioSpec) -> GroupedScores:
-    """Draw the scenario's samples; pure function of the spec (seed included)."""
+def draw_groups(spec: ScenarioSpec) -> Iterator[tuple[str, np.ndarray]]:
+    """Check the spec (ConfigError names its first fault), then return an
+    iterator of each group's ``(label, samples)``, in the spec's order.
+
+    A group is drawn only when the iterator is asked for it, and none is
+    kept once it is handed out: a caller that lets each group go before
+    asking for the next holds one group at a time.
+    """
     spec.require_valid()
+    return _drawn(spec)
+
+
+def _drawn(spec: ScenarioSpec) -> Iterator[tuple[str, np.ndarray]]:
     bitgen = np.random.PCG64(spec.seed)
     # float() converts as numpy does, and keeps every in-place step float64
     lo, hi = map(float, spec.clamp_range)
-    groups: dict[str, np.ndarray] = {}
     for g in spec.groups:
-        n = g.sample_count
-        p = g.parameters
-        if g.distribution == "constant":
-            # emits the exact requested value: clamped but never quantized
-            x = np.full(n, float(p["value"]))
-            groups[g.label] = np.clip(x, lo, hi, out=x)
-            continue
-        if g.distribution == "normal":
-            x = _normals(bitgen, n)
-            x *= float(p["stddev"])
-            x += float(p["mean"])
-        else:
-            cum = np.cumsum(np.asarray(p["weights"], dtype=np.float64))
-            picks = bitgen.random_raw(n).view(np.int64)
-            for start in range(0, n, _DRAW_BLOCK):
-                block = picks[start:start + _DRAW_BLOCK]
-                u = _uniforms(block.view(np.uint64))
-                np.minimum(np.searchsorted(cum, u, side="left"), cum.size - 1, out=block)
-            means = np.asarray(p["means"], dtype=np.float64)
-            stddevs = np.asarray(p["stddevs"], dtype=np.float64)
-            x = _normals(bitgen, n)
-            for start in range(0, n, _DRAW_BLOCK):
-                block = picks[start:start + _DRAW_BLOCK]
-                part = x[start:start + _DRAW_BLOCK]
-                part *= stddevs.take(block)
-                part += means.take(block)
-            del picks  # freed before the next group draws
+        # drawn in a call, so this frame holds no group between two yields
+        yield g.label, _draw_group(bitgen, g, lo, hi, spec.quantize)
+
+
+def _draw_group(bitgen, g: GroupSpec, lo: float, hi: float, quantize: bool) -> np.ndarray:
+    n = g.sample_count
+    p = g.parameters
+    if g.distribution == "constant":
+        # emits the exact requested value: clamped but never quantized
+        x = np.full(n, float(p["value"]))
+        return np.clip(x, lo, hi, out=x)
+    if g.distribution == "normal":
+        x = _normals(bitgen, n)
+        x *= float(p["stddev"])
+        x += float(p["mean"])
+    else:
+        x = _mixture(bitgen, n, p)
+    np.clip(x, lo, hi, out=x)
+    if quantize:
+        np.rint(x, out=x)
         np.clip(x, lo, hi, out=x)
-        if spec.quantize:
-            np.rint(x, out=x)
-            np.clip(x, lo, hi, out=x)
-        groups[g.label] = x
-    return GroupedScores(spec.name, groups)
+    return x
+
+
+def _mixture(bitgen, n: int, p: dict) -> np.ndarray:
+    """``n`` mixture samples. The stream gives the n pick uniforms before the
+    normals' raws, so the normals come from a copy of ``bitgen`` advanced
+    past the picks, the picks then from ``bitgen`` block by block, and the
+    stream goes on from where the copy stopped: the values of the transform
+    without a buffer of n picks."""
+    ahead = copy.deepcopy(bitgen)
+    ahead.advance(n)
+    x = _normals(ahead, n)
+    cum = np.cumsum(np.asarray(p["weights"], dtype=np.float64))
+    means = np.asarray(p["means"], dtype=np.float64)
+    stddevs = np.asarray(p["stddevs"], dtype=np.float64)
+    for start in range(0, n, _DRAW_BLOCK):
+        part = x[start:start + _DRAW_BLOCK]
+        pick = np.searchsorted(cum, _uniforms(bitgen.random_raw(part.size)), side="left")
+        np.minimum(pick, cum.size - 1, out=pick)
+        part *= stddevs.take(pick)
+        part += means.take(pick)
+    bitgen.state = ahead.state
+    return x
+
+
+def generate(spec: ScenarioSpec) -> GroupedScores:
+    """Draw the scenario's samples; pure function of the spec (seed included)."""
+    return GroupedScores(spec.name, dict(draw_groups(spec)))
 
 
 def _normal(label: str, mean: float, stddev: float, n: int = 500) -> GroupSpec:

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -366,6 +368,90 @@ class TestSimulate:
             "B": (1.6e308, 1.6e308),
             "C": (float(np.mean(c / 1.6e308)) * 1.6e308, float(np.median(c / 1.6e308)) * 1.6e308),
         }
+
+    def test_summary_gives_numpys_mean_and_median(self, tmp_path, capsys):
+        # odd and even counts, unquantized, so an even count's median, the
+        # mean of its two middle values, is neither of them
+        mix = {"means": [60, 85], "stddevs": [4, 2], "weights": [0.5, 0.5]}
+        doc = {"name": "s", "seed": 4, "quantize": False, "groups": [
+            {"label": "odd", "distribution": "normal",
+             "parameters": {"mean": 70, "stddev": 5}, "sample_count": 1001},
+            {"label": "even", "distribution": "normal",
+             "parameters": {"mean": 70, "stddev": 5}, "sample_count": 1000},
+            {"label": "mixodd", "distribution": "mixture_of_normals",
+             "parameters": mix, "sample_count": 999},
+            {"label": "mixeven", "distribution": "mixture_of_normals",
+             "parameters": mix, "sample_count": 998},
+            {"label": "two", "distribution": "normal",
+             "parameters": {"mean": 70, "stddev": 5}, "sample_count": 2},
+        ]}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        drawn = sqfr.generate(sqfr.ScenarioSpec.from_dict(doc)).groups
+        want = [f"{label:<6} {g.size:<6d} {np.mean(g):<8.3f} {np.median(g):<8.3f}"
+                for label, g in drawn.items()]
+        for ext in ("csv", "json"):
+            assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / f"s.{ext}")]) == 0
+            assert capsys.readouterr().out.splitlines()[2:] == want
+
+    def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--scenario", "q1", "--seed", "-1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: scenario 'q1': seed must be a non-negative integer, got -1"]
+        assert not out.exists()
+
+    def test_simulate_holds_about_one_group(self, tmp_path, capsys):
+        # four groups of 2e5 samples, two of them mixtures: each is drawn,
+        # written and summarized before the next is drawn
+        mix = {"means": [45, 75], "stddevs": [5, 10], "weights": [0.3, 0.7]}
+        counts = {"A": 200_000, "B": 200_001, "C": 199_999, "D": 200_000}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"name": "mem", "seed": 9, "groups": [
+            {"label": label, "sample_count": n, **(
+                {"distribution": "mixture_of_normals", "parameters": mix} if label in "BD"
+                else {"distribution": "normal", "parameters": {"mean": 70, "stddev": 6}})}
+            for label, n in counts.items()]}))
+        assert main(["simulate", "--scenario", "q3", "--out", str(tmp_path / "warm.csv")]) == 0
+        for ext in ("csv", "json"):
+            tracemalloc.start()  # after a first run, so one-time set-up is not counted
+            try:
+                out = tmp_path / f"m.{ext}"
+                assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # the allowance covers one write block of quantized scores and its texts
+            assert peak < 2 * 8 * max(counts.values()) + 4 * 2**20, ext
+        capsys.readouterr()
+
+    def test_simulate_lets_each_group_go_before_the_next_is_drawn(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # the writer and the summary keep no reference, not even a view, to a
+        # written group: its buffer is freed when the next group is drawn
+        buffers = []
+
+        def draw(*args):
+            assert [buf() for buf in buffers] == [None] * len(buffers)
+            samples = draw_group(*args)
+            owner = samples
+            while owner.base is not None:
+                owner = owner.base
+            buffers.append(weakref.ref(owner))
+            return samples
+
+        draw_group = sqfr.scenarios._draw_group
+        monkeypatch.setattr(sqfr.scenarios, "_draw_group", draw)
+        for name in ("q1", "q3", "all-equal"):
+            for ext in ("csv", "json"):
+                buffers.clear()
+                out = tmp_path / f"x.{ext}"
+                assert main(["simulate", "--scenario", name, "--out", str(out)]) == 0
+                assert len(buffers) == len(sqfr.builtin_scenarios()[name].groups)
+                assert buffers[-1]() is None
+        capsys.readouterr()
 
     def test_json_output_format(self, tmp_path, capsys):
         data = tmp_path / "q5.json"

@@ -29,6 +29,7 @@ from sqfr import (
     scenarios,
 )
 from sqfr.cli import main
+from sqfr.dataset import dumps_csv, dumps_json
 from sqfr.scenarios import DISTRIBUTIONS
 
 
@@ -173,6 +174,23 @@ class TestGenerate:
             tracemalloc.stop()
         sizes = [g.nbytes for g in out.groups.values()]
         assert peak < sum(sizes) + 2 * max(sizes) + 4 * 2**20
+
+    def test_mixture_draw_holds_its_samples_and_one_block(self):
+        # the normals come from a copy of the stream advanced past the picks,
+        # so no buffer of n picks lives beside them
+        n = 200_001
+        spec = ScenarioSpec.from_dict(transform_doc({"mix3": n}, quantize=True))
+        next(scenarios.draw_groups(ScenarioSpec.from_dict(transform_doc({"mix3": 5}, True))))
+        tracemalloc.start()  # after a first draw, so one-time set-up is not counted
+        try:
+            _, samples = next(scenarios.draw_groups(spec))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert samples.size == n
+        # the draw buffer holds ceil(n/2) pairs; a block's temporaries are
+        # at most four arrays of _DRAW_BLOCK 8-byte values
+        assert peak < 8 * (n + 1) + 4 * 8 * scenarios._DRAW_BLOCK + 128 * 2**10
 
     def test_pinned_q1_mean(self):
         out = generate(builtin_scenarios()["q1"])
@@ -504,6 +522,34 @@ def test_simulated_csv_and_json_give_the_same_report(tmp_path_factory, doc):
         assert main(["eval", "--input", str(data), "--format", "csv", "--out", str(report)]) == 0
         reports.append(report.read_bytes())
     assert reports[0] == reports[1]
+
+
+class TestStreamedSimulate:
+    """``sqfr simulate`` draws, writes and summarizes one group at a time;
+    its files hold the bytes the library writers give for ``generate``."""
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_files_equal_the_library_writers(self, tmp_path, monkeypatch, capsys, block):
+        monkeypatch.setattr(scenarios, "_DRAW_BLOCK", block)
+        # a mixture, then a normal group and a constant: the stream is handed
+        # on from the copy the mixture's normals were drawn from
+        doc = transform_doc({"mix2": 5 * block + 4, "normal": 2 * block + 1, "constant": block},
+                            quantize=False)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        runs = [(["--scenario", name], spec) for name, spec in builtin_scenarios().items()]
+        runs.append((["--spec", str(spec_path)], ScenarioSpec.from_dict(doc)))
+        oracle = GroupedScores(doc["name"], simulate_oracle(doc))
+        for argv, spec in runs:
+            grouped = generate(spec)
+            for ext, dumps in (("csv", dumps_csv), ("json", dumps_json)):
+                out = tmp_path / f"out.{ext}"
+                assert main(["simulate", *argv, "--out", str(out)]) == 0
+                assert out.read_bytes() == dumps(grouped).encode("utf-8"), (argv, ext)
+        # the last files written are the mixture-first spec's
+        assert (tmp_path / "out.csv").read_bytes() == dumps_csv(oracle).encode("utf-8")
+        assert (tmp_path / "out.json").read_bytes() == dumps_json(oracle).encode("utf-8")
+        capsys.readouterr()
 
 
 class TestBuiltinScenarios:
