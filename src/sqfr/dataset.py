@@ -72,9 +72,10 @@ UNBALANCE_RATIO = 10.0
 _FLOAT_MAX = sys.float_info.max
 
 #: Rows of one group that the writers format with one string join; bounds
-#: the Python floats and strings alive at once, and the scores one
+#: the Python floats and strings alive at once (about 1.7 MiB, the joined
+#: text included, for a block of distinct floats), and the scores one
 #: ``np.unique`` sorts to find the distinct values it spells once.
-_WRITE_BLOCK = 65536
+_WRITE_BLOCK = 16384
 
 #: Leading scores of a write block counted to tell whether its values repeat.
 _SAMPLE = 1024
@@ -613,7 +614,8 @@ def _score_texts(block: np.ndarray, number) -> list[str]:
     The look counts the repeats among its first ``n`` of ``N`` scores. With
     a share ``s`` of the block distinct, in random order, that is about
     ``n**2 / (2 * N) * (1 / s - 1)``, and exactly ``N - s * N`` when
-    ``n == N``; so at most ``n**2 / (2 * N)`` repeats reads as ``s >= 1/2``.
+    ``n == N``; so at most ``n**2 / (2 * N)`` repeats reads as ``s >= 1/2``:
+    32 repeats among the first 1,024 of a 16,384-score block.
     """
     bits = block.view(np.int64)
     head = bits[:_SAMPLE]

@@ -26,10 +26,12 @@ def count_below(sorted_scores, thresholds) -> np.ndarray:
 
     The scores must be sorted ascending; the thresholds may come in any
     order. A threshold equal to the smallest score discards nothing. This
-    counts the strict discard comparison for the fixed-step sweep. The
-    observed sweep (``measures._envelope_gaps``) encodes it instead in the
-    share it reads at each threshold: a score's share of its group strictly
-    below it, i / size at index i.
+    counts the strict discard comparison for the fixed-step sweep, and
+    splits each group at the cut values of the observed sweep
+    (``measures._envelope_gaps``): its scores below a cut, and, counted
+    below the next float up, those at or below it. Between two cuts that
+    sweep reads the same comparison off each score's index i in its group:
+    i / size of the group below it, (i + 1) / size at or below it.
 
     One binary search per threshold: O(T log N) for T thresholds and N
     scores.

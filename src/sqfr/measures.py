@@ -40,11 +40,16 @@ _STEP_RTOL = 1e-9
 #: a proportionally larger step, not an unbounded allocation.
 MAX_THRESHOLDS = 10_000_000
 
-#: Thresholds per block of the sequence sweep in mdg_sqfr, and sorted scores
-#: per block of _envelope_gaps.
+#: Thresholds per block of the sequence sweep in mdg_sqfr, and a quarter of
+#: the scores one block of _envelope_gaps holds.
 #: Larger blocks time alike and hold more; much smaller ones pay numpy's
 #: per-call cost once per group and block.
 _SWEEP_BLOCK = 8192
+
+#: Fewest scores per group, at least 2, that one block of _envelope_gaps
+#: has room for: each block slices every group once, so many groups make
+#: larger blocks.
+_MERGE_GROUP_SCORES = 16
 
 
 def mean_aggregate(scores: GroupedScores) -> GroupAggregates:
@@ -278,70 +283,90 @@ def _envelope_gaps(groups: list[np.ndarray]) -> np.ndarray:
     ``count / size`` that :func:`_gaps` folds, and max and min are exact,
     so the gaps keep their bits.
 
-    The stable argsort of the pool merges the ascending arrays, so each
-    group's scores keep their order in it. While the first pass compares
-    the sorted scores, it copies the argsort's indices into int32 (below
-    2**31 scores); then the scores' buffer takes the shares and the
-    indices' buffer the gaps. Each pass goes in blocks of
-    :data:`_SWEEP_BLOCK` sorted scores, so besides those three arrays only
-    one flag per score is as long as the pool, and the peak does not grow
-    with the number of groups.
+    The groups are merged block by block, and the pool is never built.
+    Cut values, every ``spacing``-th score of a sorted sample of every
+    ``stride``-th score of each group, split each group with one
+    :func:`kernels.count_below` into the scores below each cut, those equal
+    to it, and those above it. At a cut the envelopes are the max and the
+    min over groups of (scores below it) / size, so a cut is one threshold,
+    O(groups) however many scores tie at it. The scores strictly between
+    two cuts form a block: only they are sorted, and the running max and
+    min over them start from the envelopes at the cuts around them. Any
+    ``stride`` scores of a group in a row hold a sampled one, and fewer
+    than ``spacing`` sampled scores lie strictly between two cuts, so a
+    block holds under ``stride * (spacing + groups)`` scores, at most
+    ``cap``: four sweep blocks, or :data:`_MERGE_GROUP_SCORES` per group
+    when that is more. Besides the gaps, 8 bytes per threshold, the sweep
+    holds one block's temporaries and a few numbers per cut and group.
     """
-    pooled = np.concatenate(groups)
-    n = pooled.size
-    # int64 on every platform, so that its buffer can take the gaps later
-    merged = np.argsort(pooled, kind="stable").astype(np.int64, copy=False)
-    order = np.empty(n, dtype=np.int32 if n < 2**31 else np.int64)
-    # opens[j]: sorted score j differs from score j - 1, so it is a
-    # threshold; a -0 and a 0 compare equal and share one
-    opens = np.empty(n + 1, dtype=bool)
-    opens[n] = False
-    last = pooled[merged[0]]
-    for start in range(0, n, _SWEEP_BLOCK):
-        at = merged[start:start + _SWEEP_BLOCK]
-        order[start:start + at.size] = at
-        block = pooled.take(at)
-        opens[start] = block[0] != last
-        np.not_equal(block[1:], block[:-1], out=opens[start + 1:start + at.size])
-        last = block[-1]
-    gap = merged.view(np.float64)[:np.count_nonzero(opens)]
-    if not gap.size:
-        return gap
-    # a slot's share of its group strictly below it: i / size at index i
-    share, offset = pooled, 0
-    for g in groups:
-        for start in range(0, g.size, _SWEEP_BLOCK):
-            stop = min(start + _SWEEP_BLOCK, g.size)
-            np.divide(np.arange(start, stop, dtype=np.float64), g.size,
-                      out=share[offset + start:offset + stop])
-        offset += g.size
-    # The max up to the score before each threshold. The slot after a score
-    # holds its share at or below it, except after a group's last score:
-    # there the next group's first slot (or, wrapping, the pool's) holds 0,
-    # read as the whole group, 1.0. No share is NaN, so fmax is maximum
-    # without its NaN check; the same holds for fmin below.
-    done, top = 0, 0.0
-    for start in range(0, n, _SWEEP_BLOCK):
-        run = share.take(order[start:start + _SWEEP_BLOCK] + 1, mode="wrap")
-        run[run == 0.0] = 1.0
-        run[0] = max(run[0], top)
-        np.fmax.accumulate(run, out=run)
-        top = run[-1]
-        ends = run[opens[start + 1:start + 1 + run.size]]
-        gap[done:done + ends.size] = ends
-        done += ends.size
-    # less the min from each threshold up, taken from the top down
-    low = 1.0
-    for start in range((n - 1) // _SWEEP_BLOCK * _SWEEP_BLOCK, -1, -_SWEEP_BLOCK):
-        stop = min(start + _SWEEP_BLOCK, n)
-        run = share.take(order[start:stop][::-1])
-        run[0] = min(run[0], low)
-        np.fmin.accumulate(run, out=run)
-        low = run[-1]
-        firsts = run[opens[start:stop][::-1]]
-        gap[done - firsts.size:done] -= firsts[::-1]
-        done -= firsts.size
-    return gap
+    cap = max(4 * _SWEEP_BLOCK, _MERGE_GROUP_SCORES * len(groups))
+    stride = cap // (2 * len(groups))  # at least 1, as cap holds 2 per group
+    spacing = cap // (2 * stride)
+    sizes = np.array([g.size for g in groups])
+    sample = np.concatenate([g[stride - 1::stride] for g in groups])
+    sample.sort()
+    cuts = sample[spacing - 1::spacing]
+    distinct = np.ones(cuts.size, dtype=bool)  # a -0 and a 0 share one cut
+    np.not_equal(cuts[1:], cuts[:-1], out=distinct[1:])
+    cuts = cuts[distinct]
+    del sample
+    m = cuts.size
+    # row k: 0, then group k's scores at or below each cut, below each cut,
+    # and its size; no float lies between a cut and the next one up
+    edges = np.concatenate((np.nextafter(cuts, np.inf), cuts))
+    at = np.empty((len(groups), 2 * m + 2), dtype=np.int64)
+    at[:, 0] = 0
+    at[:, -1] = sizes
+    for row, g in zip(at, groups):
+        row[1:-1] = kernels.count_below(g, edges)
+    # column i: each group's scores strictly between cut i - 1 and cut i
+    starts, stops = at[:, :m + 1], at[:, m + 1:]
+    tops = (starts / sizes[:, None]).max(axis=0)
+    fractions = stops / sizes[:, None]
+    highs, lows = fractions.max(axis=0), fractions.min(axis=0)
+    del fractions
+    gap = np.empty(int(stops.sum() - starts.sum()) + m)
+    done = 0
+    for i in range(m + 1):
+        a, b = starts[:, i], stops[:, i]
+        n = b - a
+        size = int(n.sum())
+        if size:
+            block = np.concatenate(
+                [g[x:y] for g, x, y in zip(groups, a.tolist(), b.tolist())])
+            order = block.argsort()  # the order among equal scores is immaterial
+            block = block.take(order)
+            # opens[j]: sorted score j differs from the one before, so it is
+            # a threshold; every block's first is, but for the pooled minimum
+            opens = np.empty(size, dtype=bool)
+            opens[0] = i > 0
+            np.not_equal(block[1:], block[:-1], out=opens[1:])
+            del block
+            # each sorted score's index in its group, and that group's size
+            index = np.repeat(a - (np.cumsum(n) - n), n).take(order)
+            index += order
+            per = np.repeat(sizes, n).take(order)
+            del order
+            # run[j + 1]: the max up to sorted score j of shares at or below
+            run = np.empty(size + 1)
+            run[0] = tops[i]
+            np.add(index, 1.0, out=run[1:])
+            run[1:] /= per
+            np.fmax.accumulate(run, out=run)  # no share is NaN: fmax is maximum
+            out = gap[done:done + np.count_nonzero(opens)]
+            np.compress(opens, run[:-1], out=out)
+            # less run[j]: the min from sorted score j up of shares strictly below
+            np.divide(index, per, out=run[:-1])
+            run[size] = lows[i]
+            del index, per
+            back = run[::-1]
+            np.fmin.accumulate(back, out=back)
+            out -= run[:-1][opens]
+            done += out.size
+        if i < m and (i or size):  # cut 0 is the pooled minimum when nothing is below it
+            gap[done] = highs[i] - lows[i]
+            done += 1
+    return gap[:done]
 
 
 def mdg_sqfr(
@@ -358,8 +383,9 @@ def mdg_sqfr(
     counts each group's discards in a block with
     :func:`kernels.count_below` and folds the block's fraction rows into
     its gaps. Observed mode takes the gaps from two running envelopes over
-    the pooled sorted scores (:func:`_envelope_gaps`): one sort plus O(N)
-    per pass for N scores, whatever the number of groups.
+    the groups merged block by block (:func:`_envelope_gaps`): each block
+    is sorted on its own, and besides the gaps, 8 bytes per threshold, the
+    sweep holds one block, whatever the number of groups.
     """
     scores = scores.validated()
     check_sweep(step, thresholds_mode)

@@ -5,6 +5,7 @@ Expected values tagged "oracle:" were computed with the literal definition
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from sqfr import (
     mdg,
     mdg_sqfr,
     mean_aggregate,
+    measures,
     median_aggregate,
     observed_thresholds,
     relevant_thresholds,
@@ -446,6 +448,32 @@ class TestMdg:
             mdg(DiscardCurve(np.array([1.0, 2.0]), rows))
 
 
+#: Components that stress the observed sweep's block merge, from a seeded
+#: generator: ties longer than a block, few distinct values, a group of one
+#: score, many small groups and groups whose ranges do not meet.
+MERGE_SHAPES = {
+    "one-value-tied-across-2x250000": lambda rng: {
+        label: np.concatenate((np.full(250_000, 7.0), rng.uniform(0, 14, 3_000 + 700 * i)))
+        for i, label in enumerate("AB")
+    },
+    "two-values": lambda rng: {
+        "A": np.repeat([1.0, 2.0], [150_000, 100_000]),
+        "B": np.repeat([1.0, 2.0], [40_000, 210_000]),
+    },
+    "1-score-against-499999": lambda rng: {
+        "A": rng.uniform(0, 100, 1), "B": rng.uniform(0, 100, 499_999)
+    },
+    # scores on a grid of 0.5, so that the oracle's discard curve holds
+    # 10,000 x 200 fractions, not 10,000 x 5e5
+    "10000-groups-of-50": lambda rng: {
+        f"g{i}": rng.integers(0, 200, 50) / 2 for i in range(10_000)
+    },
+    "groups-that-do-not-overlap": lambda rng: {
+        f"g{i}": rng.uniform(10 * i, 10 * i + 9, 40_000) for i in range(5)
+    },
+}
+
+
 class TestMdgSqfr:
     def test_hand_example(self):
         assert mdg_sqfr(grouped({"A": [1, 3], "B": [3, 3]})).value == 0.5
@@ -464,8 +492,10 @@ class TestMdgSqfr:
         assert score.value == 0.5  # single observed threshold at 3; gap 0.5
 
     def test_observed_sweep_holds_little_beside_its_thresholds(self):
-        # the sweep keeps the thresholds and one gap array; building a whole
-        # discard curve held one fraction array per group as well
+        # the sweep keeps one gap array, 8 bytes per threshold, and a few
+        # temporaries of one block of at most 4 * _SWEEP_BLOCK scores at
+        # this group count; building a whole discard curve held one fraction
+        # array per group, and sorting the whole pool 21 bytes per score
         rng = np.random.default_rng(7)
         gs = grouped({f"g{i}": rng.random(100_000) * 100 for i in range(5)}).validated()
         threshold_bytes = observed_thresholds(gs).nbytes
@@ -475,7 +505,7 @@ class TestMdgSqfr:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * threshold_bytes
+        assert peak < threshold_bytes + 6 * 8 * 4 * measures._SWEEP_BLOCK
 
     def test_observed_sweep_holds_no_more_for_more_groups(self):
         # as many scores in 100 groups: the sweep's arrays grow with the
@@ -489,7 +519,25 @@ class TestMdgSqfr:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * threshold_bytes
+        assert peak < threshold_bytes + 6 * 8 * 4 * measures._SWEEP_BLOCK
+
+    @pytest.mark.parametrize("block", [measures._SWEEP_BLOCK, 1, 7])
+    @pytest.mark.parametrize("shape", sorted(MERGE_SHAPES))
+    def test_observed_sweep_merges_stress_shapes_bit_for_bit(self, shape, block):
+        gs = grouped(MERGE_SHAPES[shape](np.random.default_rng(25))).validated()
+        ts = observed_thresholds(gs)
+        want = 1.0 - mdg(discard_curve(gs, ts)) if ts.size else 1.0
+        with mock.patch.object(measures, "_SWEEP_BLOCK", block):
+            tracemalloc.start()
+            try:
+                got = mdg_sqfr(gs, thresholds_mode="observed").value
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert got == want  # exactly, not approximately
+        # the sweep that sorted the whole pool held it, its int64 argsort,
+        # an int32 copy of that and one flag: over 21 bytes per score
+        assert peak <= 21 * sum(g.size for g in gs.groups.values())
 
 
 class TestEvaluateComponent:

@@ -364,6 +364,30 @@ class TestDiscardProperties:
             got = mdg_sqfr(grouped, thresholds_mode="observed").value
         assert got == want  # exactly, not approximately
 
+    @pytest.mark.parametrize("block", [1, 7])
+    @given(
+        st.one_of(
+            grouped_strategy(max_groups=4),
+            grouped_strategy(integers=True),
+            st.lists(
+                st.lists(tie_prone_scores, min_size=1, max_size=12), min_size=2, max_size=40
+            ).map(lambda gs: GroupedScores("q", {f"g{i}": g for i, g in enumerate(gs)})),
+        )
+    )
+    # the pooled minimum is the first cut, with nothing below it
+    @example(GroupedScores("q", {"A": [1.0, 1.0, 1.0, 2.0], "B": [1.0, 1.0, 3.0]}))
+    @settings(max_examples=150, deadline=None)
+    def test_observed_sweep_over_small_merge_blocks_equals_the_discard_curve(self, block, grouped):
+        # room for two scores per group in a block: the cuts fall a few
+        # scores apart even in small groups, so ties at a cut, blocks with
+        # nothing between two cuts and runs across many cuts all occur
+        ts = observed_thresholds(grouped)
+        want = 1.0 - mdg(discard_curve(grouped, ts)) if ts.size else 1.0
+        with mock.patch.object(measures, "_SWEEP_BLOCK", block), \
+                mock.patch.object(measures, "_MERGE_GROUP_SCORES", 2):
+            got = mdg_sqfr(grouped, thresholds_mode="observed").value
+        assert got == want  # exactly, not approximately
+
     @given(grouped_strategy(max_groups=2, integers=True))
     @settings(max_examples=150, deadline=None)
     def test_pooled_interior_group_never_changes_mdg(self, grouped):
