@@ -210,9 +210,9 @@ def _summarized(groups, lines: list[str]):
 
 def _cmd_plotdata(args) -> int:
     plotdata.check_options(args.bin_width, args.grid_points, args.bandwidth)
-    ds = _load(args)
+    # no name holds the dataset, so its scores go once the plot, all lists, is built
     plot = plotdata.build_plotdata(
-        ds,
+        _load(args),
         bin_width=args.bin_width,
         grid_points=args.grid_points,
         bandwidth=args.bandwidth,

@@ -36,6 +36,9 @@ of ``_parse_row`` for the first row of each (component, group) and any row
 the inline test refuses. ``load_json`` converts and checks each group's
 list as one array, and checks element by element only a list that fails.
 The full checks produce every diagnostic and cite its row or JSON path.
+It converts the parsed document group by group: each list is dropped
+from the document once converted, and its array, the loader's own, is
+sorted in place, so loading holds about what parsing held, plus one group.
 The writers quote the labels once per group and format the scores in
 blocks of ``_WRITE_BLOCK``. In a block whose values repeat, as quantized
 scores do, each distinct score is formatted once and its text reused for
@@ -62,6 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ParseError, ValidationError
+from .kernels import _distinct
 from .types import GroupedScores
 
 _FORBIDDEN_LABEL_CHARS = ('"', "\n", "\r")
@@ -74,7 +78,7 @@ _FLOAT_MAX = sys.float_info.max
 #: Rows of one group that the writers format with one string join; bounds
 #: the Python floats and strings alive at once (about 1.7 MiB, the joined
 #: text included, for a block of distinct floats), and the scores one
-#: ``np.unique`` sorts to find the distinct values it spells once.
+#: argsort orders to find the distinct values it spells once.
 _WRITE_BLOCK = 16384
 
 #: Leading scores of a write block counted to tell whether its values repeat.
@@ -326,8 +330,14 @@ def load_json(path) -> Dataset:
             where = f"{path}: components.{cid}.{label}"
             if not isinstance(values, list):
                 raise ParseError(f"{where}: expected an array of scores")
-            buckets[cid][label] = _json_scores(values, where)
             count += len(values)
+            scores = _json_scores(values, where)
+            # the document lets go of the list; the fresh array is sorted in place,
+            # so the canonical form keeps it as a view
+            groups[label] = values = None
+            scores.sort()
+            buckets[cid][label] = scores
+    del doc, comps  # what is left of the document: its objects and any other keys
     components = _canonical_components(buckets, str(path))
     return Dataset(components, Provenance(str(path), count))
 
@@ -618,11 +628,11 @@ def _score_texts(block: np.ndarray, number) -> list[str]:
     32 repeats among the first 1,024 of a 16,384-score block.
     """
     bits = block.view(np.int64)
-    head = bits[:_SAMPLE]
-    repeats = head.size - np.unique(head).size
+    head = np.sort(bits[:_SAMPLE])
+    repeats = np.count_nonzero(head[1:] == head[:-1])
     if 2 * repeats * bits.size <= head.size ** 2 and np.isfinite(block).all():
         return list(map(repr, block.tolist()))
-    distinct, inverse = np.unique(bits, return_inverse=True)
+    distinct, inverse = _distinct(bits, inverse=True)
     texts = np.array(list(map(number, distinct.view(np.float64).tolist())), dtype=object)
     return texts[inverse].tolist()
 

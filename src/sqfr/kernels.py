@@ -13,8 +13,9 @@ BACKEND = "python"
 
 _SQRT_TWO_PI = np.sqrt(2.0 * np.pi)
 
-#: Elements of the (grid block x distinct samples) temporary in kde_gaussian.
-_KDE_BLOCK_ELEMENTS = 8_000_000
+#: Elements of each (grid block x distinct samples) temporary in kde_gaussian:
+#: half a MiB, which bounds the temporaries without slowing the sums.
+_KDE_BLOCK_ELEMENTS = 1 << 16
 
 
 def _c1d(a) -> np.ndarray:
@@ -68,21 +69,55 @@ def kde_gaussian(samples, grid, bandwidth: float) -> np.ndarray:
     distance that overflows is harmless, as its kernel value ``exp(-inf)``
     is exactly 0.
 
-    The kernel is evaluated once per distinct sample value and weighted by
-    that value's count, so repeated scores (integer scales) cost as much
-    as one. The grid is processed in blocks to bound the (block x distinct
-    values) temporary.
+    The kernel is evaluated once per distinct sample value (``_distinct``,
+    which sorts only samples that are not ascending) and weighted by that
+    value's count, so repeated scores (integer scales) cost as much as one.
+    The grid is processed in blocks of rows that bound the two (block x
+    distinct values) temporaries to ``_KDE_BLOCK_ELEMENTS`` elements each,
+    or one row where a row holds more; every grid row is still summed
+    whole, so the block size moves no bit.
     """
     x = _c1d(samples)
     grid = _c1d(grid)
     h = float(bandwidth)
-    values, counts = np.unique(x, return_counts=True)
+    values, counts = _distinct(x)
     out = np.empty(grid.size, dtype=np.float64)
     norm = 1.0 / (x.size * h * _SQRT_TWO_PI)
     block = max(1, _KDE_BLOCK_ELEMENTS // max(values.size, 1))
     for start in range(0, grid.size, block):
+        rows = slice(start, start + block)
         with np.errstate(over="ignore"):  # a distance overflowing to inf weighs exp(-inf) = 0
-            u = (grid[start : start + block, None] - values[None, :]) / h
-            kernel = np.exp(-0.5 * u * u)
-        out[start : start + block] = (kernel * counts).sum(axis=1) * norm
+            u = grid[rows, None] - values
+            u /= h
+            kernel = u * -0.5  # exp(-0.5 * u * u), in two temporaries
+            kernel *= u
+            np.exp(kernel, out=kernel)
+        kernel *= counts
+        out[rows] = kernel.sum(axis=1) * norm
     return out
+
+
+def _distinct(a: np.ndarray, inverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the 1-d array ``a``, ascending, and how often
+    each occurs; with ``inverse``, in place of the counts, the index into
+    the values of each element of ``a``. Elements that compare equal are
+    one value (a float -0.0 and 0.0 are one). That is ``np.unique(a,
+    return_counts=not inverse, return_inverse=inverse)``, whose first call
+    imports ``numpy.ma``.
+
+    Without ``inverse`` an ascending ``a`` is read as it is and any other
+    is sorted into a copy; with it, ``a`` is gathered through its argsort.
+    """
+    if inverse:
+        order = np.argsort(a)
+        a = a[order]
+    elif np.any(a[1:] < a[:-1]):
+        a = np.sort(a)
+    first = np.empty(a.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    if not inverse:
+        return a[first], np.diff(np.flatnonzero(first), append=a.size)
+    where = np.empty(a.size, dtype=np.intp)
+    where[order] = np.cumsum(first) - 1
+    return a[first], where

@@ -49,14 +49,38 @@ def silverman_bandwidth(values: np.ndarray) -> float:
 
 
 def _silverman(values: np.ndarray) -> float:
+    """Silverman's bandwidth of one group, its standard deviation taken in
+    the caller's order and its quartiles from ``_quartiles``."""
     n = values.size
     if n < 2:
         return 0.0
     sd = float(np.std(values, ddof=1))
-    q1, q3 = np.quantile(values, [0.25, 0.75])
-    iqr = float(q3 - q1)
+    q1, q3 = _quartiles(values)
+    iqr = q3 - q1
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
     return 0.9 * spread * n ** (-0.2)
+
+
+def _quartiles(values: np.ndarray) -> list[float]:
+    """[Q1, Q3] of at least two values, the bits of
+    ``np.quantile(values, [0.25, 0.75])``, whose first call imports
+    ``numpy.ma``.
+
+    numpy's default ``linear`` rule, read off the values ascending: a
+    loaded group already is, and any other is sorted into a copy. The
+    quartile q sits at index ``(n - 1) * q``, between the values a and b
+    either side of it, at fraction t; it is ``a + (b - a) * t``, or
+    ``b - (b - a) * (1 - t)`` when t >= 0.5, as numpy's ``_lerp`` rounds.
+    """
+    ascending = np.sort(values) if np.any(values[1:] < values[:-1]) else values
+    out = []
+    for q in (0.25, 0.75):
+        at = (values.size - 1) * q
+        i = math.floor(at)
+        t = at - i
+        a, b = float(ascending[i]), float(ascending[i + 1])
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
 
 
 def histogram_edges(lo: float, hi: float, bin_width: float = 1.0) -> np.ndarray:

@@ -30,6 +30,14 @@ def singleton_component(cid, values):
     return GroupedScores(cid, {label: [v] for label, v in zip("ABCDE", values)})
 
 
+def child_env(**extra):
+    """The environment of a child Python that imports the same sqfr as this
+    process, installed or not."""
+    src = os.path.dirname(os.path.dirname(sqfr.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 @pytest.fixture
 def q2_csv(tmp_path):
     path = tmp_path / "q2.csv"
@@ -157,14 +165,10 @@ class TestEval:
 
     def test_precision_env_default(self, q2_csv, tmp_path):
         out = tmp_path / "r.csv"
-        # the child imports the same sqfr as this process, installed or not
-        src = os.path.dirname(os.path.dirname(sqfr.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, SQFR_PRECISION="1", PYTHONPATH=path)
         subprocess.run(
             [sys.executable, "-m", "sqfr.cli", "eval", "--input", str(q2_csv),
              "--format", "csv", "--out", str(out)],
-            env=env,
+            env=child_env(SQFR_PRECISION="1"),
             check=True,
         )
         assert ",0.9," in out.read_text()
@@ -508,6 +512,32 @@ class TestPlotdata:
         doc = json.loads(captured.out)
         groups = {g["label"]: g for g in doc["components"][0]["groups"]}
         assert groups["A"]["density"] is None and groups["B"]["density"] is not None
+
+
+class TestImports:
+    """A fresh process running a command imports no numpy.ma: numpy's
+    unique and quantile import it on their first call, and masked arrays
+    cost about 1.2 MB of RSS that nothing uses."""
+
+    # the first value tells whether numpy imported numpy.ma itself, as numpy 1.x does
+    CHILD = ("import sys, numpy; eager = 'numpy.ma' in sys.modules; from sqfr.cli import main;"
+             " code = main(sys.argv[1:]); print(eager, 'numpy.ma' in sys.modules, code)")
+
+    @pytest.mark.parametrize("command", ["plotdata-csv", "plotdata-json", "simulate"])
+    def test_numpy_ma_stays_unimported(self, tmp_path, command):
+        argv = ["simulate", "--scenario", "q1", "--out", str(tmp_path / "s.csv")]
+        if command != "simulate":
+            ext = command.split("-")[1]
+            path = tmp_path / f"d.{ext}"
+            save = save_csv if ext == "csv" else save_json
+            save(GroupedScores("q", {"A": np.arange(60.0) % 7, "B": np.arange(40.0) / 3}), path)
+            argv = ["plotdata", "--input", str(path), "--out", str(tmp_path / "p.json")]
+        child = subprocess.run([sys.executable, "-c", self.CHILD, *argv], env=child_env(),
+                               capture_output=True, text=True, check=True)
+        eager, imported, code = child.stdout.splitlines()[-1].split()
+        if eager == "True":
+            pytest.skip("this numpy imports numpy.ma with numpy")
+        assert (imported, code) == ("False", "0")
 
 
 class TestFixturesCommand:

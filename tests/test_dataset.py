@@ -1,8 +1,10 @@
 """Loading, validation and round-trip behavior of the dataset formats."""
 
 import csv
+import json
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +243,35 @@ class TestLoadJson:
             "component 'q': group 'A' has no scores; component 'q': group 'C' has no scores;"
             " component 'r': fairness needs at least 2 demographic groups (n >= 2 required, got 1)"
         )
+
+    def test_peak_is_that_of_parsing_the_document(self, tmp_path):
+        # each group's list goes as soon as it is converted, and its array is
+        # sorted in place, so loading adds at most about two groups' arrays
+        # to what parsing the file holds
+        rng = np.random.default_rng(12)
+        size = 20_000
+        doc = {"components": {f"c{c}": {g: rng.integers(40, 101, size).tolist() for g in "ABCD"}
+                              for c in range(3)}}
+        path = write(tmp_path / "d.json", json.dumps(doc))
+        del doc
+        # no group is copied to be sorted: the canonical form keeps the loader's array
+        ds = load_json(path)
+        assert all(g.base is not None for c in ds.components.values() for g in c.groups.values())
+        del ds
+
+        def peak(load):
+            tracemalloc.start()
+            try:
+                load()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def parse():
+            with open(path, encoding="utf-8") as fh:
+                json.load(fh)
+
+        assert peak(lambda: load_json(path)) <= peak(parse) + 2 * 8 * size + 2**16
 
 
 class TestRoundTrip:

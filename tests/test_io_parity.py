@@ -555,14 +555,14 @@ def test_writers_match_the_oracle_on_repeated_and_distinct_blocks(monkeypatch, t
     mixed = _mixed_scores()
     comps = {"q": GroupedScores("q", {"A": mixed, "B": [0.0, -0.0, 0.0, -0.0], "C": mixed[:1]})}
     gathered = []  # the size of each block spelled per distinct value
-    unique = np.unique
+    distinct = sqfr.dataset._distinct
 
     def spy(ar, *args, **kwargs):
-        if kwargs.get("return_inverse"):
+        if kwargs.get("inverse"):
             gathered.append(ar.size)
-        return unique(ar, *args, **kwargs)
+        return distinct(ar, *args, **kwargs)
 
-    monkeypatch.setattr(np, "unique", spy)
+    monkeypatch.setattr(sqfr.dataset, "_distinct", spy)
     text = dumps(comps)
     assert text == oracle(comps)
     blocks = sum(-(-len(g) // block) for g in comps["q"].groups.values())

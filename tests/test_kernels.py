@@ -1,11 +1,13 @@
 """Correctness of the per-sample kernels in sqfr.kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sqfr import kernels
 
-from oracles import direct_count, direct_kde
+from oracles import direct_count, direct_kde, unique_kde
 
 
 class TestCountBelow:
@@ -161,8 +163,34 @@ class TestKde:
     def test_grid_chunking_is_seamless(self):
         # enough distinct values that the grid is split into blocks
         rng = np.random.default_rng(17)
-        x = rng.uniform(0, 100, 30_000)  # block = 8e6 // 3e4 = 266 < grid size
+        x = rng.uniform(0, 100, 30_000)  # block = 2**16 // 3e4 = 2 rows < grid size
         grid = np.linspace(0, 100, 512)
         assert kernels.kde_gaussian(x, grid, 2.0) == pytest.approx(
             direct_kde(x, grid, 2.0), rel=1e-12
         )
+
+    @pytest.mark.parametrize("rows", [1, 3, None], ids=["1-row", "3-rows", "default"])
+    def test_block_size_moves_no_bit(self, monkeypatch, rows):
+        # distinct floats, unsorted, and integers that repeat
+        x = np.random.default_rng(21).uniform(0, 100, 3001)
+        x = np.concatenate([x, np.floor(x[:700])])
+        grid = np.linspace(-5, 105, 256)
+        if rows is not None:
+            monkeypatch.setattr(kernels, "_KDE_BLOCK_ELEMENTS", rows * np.unique(x).size)
+        got = kernels.kde_gaussian(x, grid, 1.7)
+        assert got.view(np.int64).tolist() == unique_kde(x, grid, 1.7).view(np.int64).tolist()
+
+    def test_temporaries_are_bounded(self):
+        # 10**5 distinct floats on a 256-point grid: a block of 8e6 elements held
+        # three (80 x 10**5) temporaries, over 240 MiB
+        x = np.sort(np.random.default_rng(8).uniform(0, 100, 100_000))
+        grid = np.linspace(-5, 105, 256)
+        kernels.kde_gaussian(x[:10], grid, 1.0)
+        tracemalloc.start()
+        try:
+            kernels.kde_gaussian(x, grid, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the distinct values, their counts and positions, and two one-row temporaries
+        assert peak < 8 * x.nbytes

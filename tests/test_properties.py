@@ -27,7 +27,9 @@ from sqfr import (
     sqfr,
 )
 
-from oracles import discard_recount, gini_exact, gini_literal, mdg_recount
+from sqfr.plotdata import _quartiles, silverman_bandwidth
+
+from oracles import discard_recount, gini_exact, gini_literal, mdg_recount, unique_kde
 
 # zero or comfortably normal floats: scaling by c in [1e-3, 1e3] must not
 # underflow the inputs themselves
@@ -424,3 +426,69 @@ class TestMedianConvention:
 
         assert median_aggregate(gs).values["A"] == pytest.approx(expected)
         assert math.isfinite(expected)
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+# ties, subnormals and the float maximum among them, or any score up to it
+quartile_scores = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, TINY, 1.0, 2.0, 1e308, sys.float_info.max]),
+    st.floats(min_value=0.0, max_value=sys.float_info.max),
+)
+
+
+def _np_silverman(values):
+    """The rule of thumb with np.quantile's quartiles."""
+    sd = float(np.std(values, ddof=1))
+    q1, q3 = np.quantile(values, [0.25, 0.75])
+    iqr = float(q3 - q1)
+    return 0.9 * (min(sd, iqr / 1.34) if iqr > 0 else sd) * values.size ** (-0.2)
+
+
+class TestNumpyEquivalents:
+    """The plot path's own quartiles and distinct values give numpy's bits
+    without calling the numpy functions that import numpy.ma."""
+
+    @given(st.lists(quartile_scores, min_size=2, max_size=40), st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_quartiles_match_np_quantile(self, values, ascending):
+        v = np.array(sorted(values) if ascending else values)
+        assert _bits(_quartiles(v)) == _bits(np.quantile(v, [0.25, 0.75]))
+
+    def test_quartiles_match_np_quantile_on_random_arrays(self):
+        rng = np.random.default_rng(26)
+        for _ in range(2000):
+            n = int(rng.integers(2, 300))
+            v = rng.normal(70, 8, n)
+            v = np.abs(np.round(v) if rng.random() < 0.5 else v)
+            assert _bits(_quartiles(v)) == _bits(np.quantile(v, [0.25, 0.75]))
+
+    @given(st.lists(quartile_scores, min_size=2, max_size=40), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_silverman_matches_np_quantile_through_the_overflow_rule(self, values, ascending):
+        v = np.array(sorted(values) if ascending else values)
+        h = measures._scale_free(_np_silverman, v)
+        assert _bits([silverman_bandwidth(v)]) == _bits([h if h >= TINY else 0.0])
+
+    @given(st.lists(tie_prone_scores, max_size=40), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_distinct_matches_np_unique(self, values, ascending):
+        # sorted() keeps -0.0 and 0.0 in their given order, as they compare equal
+        a = np.array(sorted(values) if ascending else values, dtype=np.float64)
+        got = kernels._distinct(a)
+        want = np.unique(a, return_counts=True)
+        assert [x.tolist() for x in got] == [x.tolist() for x in want]  # -0.0 == 0.0
+        bits = a.view(np.int64)  # -0.0 and 0.0 apart
+        got = kernels._distinct(bits, inverse=True)
+        want = np.unique(bits, return_inverse=True)
+        assert [x.tolist() for x in got] == [x.tolist() for x in want]
+
+    @given(st.lists(tie_prone_scores, min_size=1, max_size=40), st.booleans(),
+           st.sampled_from([0.5, 1.0, 2.75, 40.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_kde_matches_the_np_unique_form(self, values, ascending, h):
+        x = np.array(sorted(values) if ascending else values, dtype=np.float64)
+        grid = np.linspace(-3.0, 103.0, 17)
+        assert _bits(kernels.kde_gaussian(x, grid, h)) == _bits(unique_kde(x, grid, h))
