@@ -161,7 +161,6 @@ def _cmd_eval(args) -> int:
         threshold_step=args.threshold_step,
         thresholds_mode=args.thresholds,
         precision=precision,
-        input_path=args.input,
     )
     _emit(report.render(result, args.format), args.out)
     return 0

@@ -3,10 +3,10 @@
 Two interchangeable on-disk formats:
 
 * CSV: UTF-8 with a header row, RFC-4180 quoting. Default columns
-  ``group``, ``component``, ``score`` and optional ``sample_id``; names are
-  remappable. Scores use Python ``float()`` syntax; blank lines are
-  skipped. Row numbers in diagnostics are 1-based physical lines (the
-  header is line 1).
+  ``group``, ``component`` and ``score``, whose names are remappable, and
+  an optional ``sample_id``, whose name is fixed and which is not read.
+  Scores use Python ``float()`` syntax; blank lines are skipped. Row
+  numbers in diagnostics are 1-based physical lines (the header is line 1).
 * JSON: ``{"components": {"<component>": {"<group>": [score, ...]}}}``.
   Diagnostics carry the JSON path of the offending element.
 
@@ -70,6 +70,9 @@ from .types import GroupedScores
 
 _FORBIDDEN_LABEL_CHARS = ('"', "\n", "\r")
 
+#: The optional CSV column of sample ids: never read, but not to be repeated.
+_SAMPLE_ID_COL = "sample_id"
+
 #: Group-size ratio above which validate() flags a component as unbalanced.
 UNBALANCE_RATIO = 10.0
 
@@ -114,16 +117,12 @@ class Dataset:
     components: dict[str, GroupedScores]
     provenance: Provenance = field(compare=False, default_factory=lambda: Provenance("", 0))
 
-    def total_scores(self) -> int:
-        return sum(g.size for c in self.components.values() for g in c.groups.values())
-
 
 def load_csv(
     path,
     group_col: str = "group",
     component_col: str = "component",
     score_col: str = "score",
-    sample_col: str = "sample_id",
     strict: bool = True,
 ) -> Dataset:
     """Parse a CSV score file into a Dataset.
@@ -131,10 +130,11 @@ def load_csv(
     In strict mode (default) any malformed row raises ParseError citing its
     row number; in lenient mode malformed rows are skipped and recorded as
     warnings in the provenance. Silent data loss can corrupt fairness
-    conclusions, hence the strict default. ``sample_col`` is not read; it
-    is named only so that a header repeating it is rejected. A file that is
-    not UTF-8, or a row the CSV reader cannot split (a field over
-    ``csv.field_size_limit()``), is a ParseError in either mode.
+    conclusions, hence the strict default. A ``sample_id`` column, whose
+    name is fixed, is not read; a header that repeats it, or any of the
+    three named columns, is rejected. A file that is not UTF-8, or a row
+    the CSV reader cannot split (a field over ``csv.field_size_limit()``),
+    is a ParseError in either mode.
 
     The rows after the header are first counted as distinct lines (see
     ``_counted_buckets``), and the distinct lines are read once, through
@@ -150,7 +150,7 @@ def load_csv(
         # utf-8-sig: tolerate the BOM spreadsheet exports tend to prepend
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            columns = _read_header(reader, path, group_col, component_col, score_col, sample_col)
+            columns = _read_header(reader, path, group_col, component_col, score_col)
             counted = _counted_buckets(fh, columns)
             if counted is None:
                 fh.seek(0)
@@ -167,7 +167,7 @@ def load_csv(
     return Dataset(components, Provenance(str(path), rows, warnings))
 
 
-def _read_header(reader, path: Path, group_col, component_col, score_col, sample_col):
+def _read_header(reader, path: Path, group_col, component_col, score_col):
     """(name, index) of the group, component and score columns of the header row."""
     if len({group_col, component_col, score_col}) < 3:
         raise ConfigError(
@@ -184,7 +184,7 @@ def _read_header(reader, path: Path, group_col, component_col, score_col, sample
             f" found {header}"
         )
     repeated = sorted(
-        {c for c in (group_col, component_col, score_col, sample_col) if header.count(c) > 1}
+        {c for c in (group_col, component_col, score_col, _SAMPLE_ID_COL) if header.count(c) > 1}
     )
     if repeated:
         raise ConfigError(
@@ -565,9 +565,12 @@ def save_groups(component_id: str, groups, path, fmt: str) -> None:
 
     Each group is written before the next is taken, and the writer keeps
     no reference to it, so groups drawn one at a time are held one at a
-    time. A save that fails part way may leave a partial file.
+    time. Any other ``fmt`` is a ConfigError, raised before ``path`` is
+    opened; a save that fails part way may leave a partial file.
     """
-    write = _write_json if fmt == "json" else _write_csv
+    write = {"csv": _write_csv, "json": _write_json}.get(fmt)
+    if write is None:
+        raise ConfigError(f"unknown dataset format {fmt!r}; expected 'csv' or 'json'")
     with open(path, "w", encoding="utf-8") as fh:
         write([(component_id, groups)], fh)
 

@@ -222,10 +222,9 @@ def observed_thresholds(scores: GroupedScores) -> np.ndarray:
     discard) and ends at the pooled maximum.
     """
     scores = scores.validated()
-    pooled = scores.union()
+    pooled = np.concatenate(list(scores.groups.values()))
     pooled.sort()
-    above = pooled[1:]
-    return above[above != pooled[:-1]]
+    return kernels._distinct(pooled)[0][1:]
 
 
 def discard_curve(scores: GroupedScores, thresholds) -> DiscardCurve:
@@ -305,10 +304,7 @@ def _envelope_gaps(groups: list[np.ndarray]) -> np.ndarray:
     sizes = np.array([g.size for g in groups])
     sample = np.concatenate([g[stride - 1::stride] for g in groups])
     sample.sort()
-    cuts = sample[spacing - 1::spacing]
-    distinct = np.ones(cuts.size, dtype=bool)  # a -0 and a 0 share one cut
-    np.not_equal(cuts[1:], cuts[:-1], out=distinct[1:])
-    cuts = cuts[distinct]
+    cuts, _ = kernels._distinct(sample[spacing - 1::spacing])  # a -0 and a 0 share one cut
     del sample
     m = cuts.size
     # row k: 0, then group k's scores at or below each cut, below each cut,
@@ -442,10 +438,14 @@ def select_measures(names: Iterable[str] | None = None) -> tuple[str, ...]:
 
     None selects all six. Otherwise each key counts once, whatever its
     position or repetition in ``names``; a name that is not a canonical key,
-    such as the hyphenated CLI spelling, raises DomainError.
+    such as the hyphenated CLI spelling, raises DomainError, as does a bare
+    string in place of a collection of keys.
     """
     if names is None:
         return ALL_MEASURES
+    if isinstance(names, str):
+        raise DomainError(f"measures must be a collection of keys, not the string {names!r};"
+                          f" expected keys from {ALL_MEASURES}")
     requested = set(names)
     unknown = requested - set(ALL_MEASURES)
     if unknown:

@@ -91,7 +91,6 @@ def build_report(
     threshold_step: float = 1.0,
     thresholds_mode: str = "sequence",
     precision: int = 3,
-    input_path: str | None = None,
 ) -> FairnessReport:
     """Evaluate every component of the dataset into one report.
 
@@ -99,7 +98,9 @@ def build_report(
     drops repeats and puts them in canonical order, which every render
     follows. The measures, the sweep and the precision are checked before
     any component is evaluated, so an unknown key raises DomainError and a
-    bad parameter never reaches the output.
+    bad parameter never reaches the output. The metadata names the input
+    as the loader resolved it (``dataset.provenance.source``), as a plot
+    does.
     """
     keys = measures.select_measures(selected)
     measures.check_sweep(threshold_step, thresholds_mode)
@@ -125,7 +126,7 @@ def build_report(
         )
     metadata = {
         "tool": f"sqfr {__version__}",
-        "input": input_path if input_path is not None else dataset.provenance.source,
+        "input": dataset.provenance.source,
         "threshold_step": threshold_step,
         "thresholds": thresholds_mode,
         "precision": precision,

@@ -239,16 +239,11 @@ def draw_groups(spec: ScenarioSpec) -> Iterator[tuple[str, np.ndarray]]:
     asking for the next holds one group at a time.
     """
     spec.require_valid()
-    return _drawn(spec)
-
-
-def _drawn(spec: ScenarioSpec) -> Iterator[tuple[str, np.ndarray]]:
     bitgen = np.random.PCG64(spec.seed)
     # float() converts as numpy does, and keeps every in-place step float64
     lo, hi = map(float, spec.clamp_range)
-    for g in spec.groups:
-        # drawn in a call, so this frame holds no group between two yields
-        yield g.label, _draw_group(bitgen, g, lo, hi, spec.quantize)
+    # each group is drawn in a call, so the generator holds none between two yields
+    return ((g.label, _draw_group(bitgen, g, lo, hi, spec.quantize)) for g in spec.groups)
 
 
 def _draw_group(bitgen, g: GroupSpec, lo: float, hi: float, quantize: bool) -> np.ndarray:

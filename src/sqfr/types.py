@@ -88,10 +88,6 @@ class GroupedScores:
             raise ValidationError("; ".join(problems))
         return _ValidatedScores(self.component_id, self.groups)
 
-    def union(self) -> np.ndarray:
-        """All scores across groups, concatenated in group order."""
-        return np.concatenate(list(self.groups.values()))
-
     def group_sizes(self) -> dict[str, int]:
         return {label: int(scores.size) for label, scores in self.groups.items()}
 

@@ -568,6 +568,19 @@ class TestDeterminism:
         capsys.readouterr()
         assert reports[0] == reports[1]
 
+    def test_input_is_named_as_the_loader_resolved_it(self, tmp_path, monkeypatch, capsys):
+        # eval and plotdata both report the path as loaded, not as typed
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--scenario", "q1", "--out", "q1.csv"]) == 0
+        for command in ("eval", "plotdata"):
+            outs = []
+            for name in ("./q1.csv", "q1.csv"):
+                capsys.readouterr()
+                assert main([command, "--input", name]) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1], command
+            assert json.loads(outs[0])["metadata"]["input"] == "q1.csv", command
+
 
 #: sha256 of each CLI output for the builtin scenarios: refactors must keep
 #: every byte. Every eval reads ``<scenario>.csv`` from the working

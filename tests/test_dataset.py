@@ -22,7 +22,7 @@ from sqfr import (
     validate,
 )
 from sqfr.cli import main
-from sqfr.dataset import dumps_csv, dumps_json
+from sqfr.dataset import dumps_csv, dumps_json, save_groups
 from sqfr.report import build_report, to_json
 
 
@@ -45,7 +45,7 @@ class TestLoadCsv:
         assert sorted(ds.components) == ["q1", "q2"]
         assert ds.components["q1"].groups["A"].tolist() == [10, 12]
         assert ds.provenance.row_count == 6
-        assert ds.total_scores() == 6
+        assert sum(g.size for c in ds.components.values() for g in c.groups.values()) == 6
 
     def test_unparsable_score_strict_cites_row(self, tmp_path):
         bad = "group,component,score\nA,q,1\nB,q,2\nA,q,abc\n"
@@ -55,12 +55,13 @@ class TestLoadCsv:
     def test_lenient_skips_and_records(self, tmp_path):
         bad = "group,component,score\nA,q,1\nB,q,2\nA,q,abc\nB,q,-3\n"
         ds = load_csv(write(tmp_path / "d.csv", bad), strict=False)
-        assert ds.total_scores() == 2
+        total = sum(g.size for c in ds.components.values() for g in c.groups.values())
+        assert total == 2
         assert ds.provenance.row_count == 4
         locations = [d.location for d in ds.provenance.warnings]
         assert locations == ["row 4", "row 5"]
         # counts reconcile: every row is either in a bucket or a diagnostic
-        assert ds.total_scores() + len(ds.provenance.warnings) == ds.provenance.row_count
+        assert total + len(ds.provenance.warnings) == ds.provenance.row_count
 
     def test_missing_column_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="'score'"):
@@ -293,6 +294,12 @@ class TestRoundTrip:
         assert (tmp_path / "out.csv").read_text(encoding="utf-8") == dumps_csv(gs)
         assert (tmp_path / "out.json").read_text(encoding="utf-8") == dumps_json(gs)
 
+    def test_save_groups_rejects_an_unknown_format_before_opening(self, tmp_path):
+        path = tmp_path / "x.xml"
+        with pytest.raises(ConfigError, match=r"^unknown dataset format 'XML'"):
+            save_groups("q", [("A", np.array([1.0]))], path, "XML")
+        assert not path.exists()
+
     def test_fractional_scores_roundtrip_exactly(self, tmp_path):
         gs = GroupedScores("q", {"A": [0.1, 1 / 3], "B": [99.999999]})
         save_csv(gs, tmp_path / "out.csv")
@@ -303,8 +310,9 @@ class TestRoundTrip:
         csv_ds = load_csv(write(tmp_path / "d.csv", BASIC_CSV))
         save_json(csv_ds, tmp_path / "d.json")
         json_ds = load_json(tmp_path / "d.json")
-        a = to_json(build_report(csv_ds, input_path="x"))
-        b = to_json(build_report(json_ds, input_path="x"))
+        csv_ds.provenance.source = json_ds.provenance.source = "x"
+        a = to_json(build_report(csv_ds))
+        b = to_json(build_report(json_ds))
         assert a == b
 
     def test_row_order_does_not_matter(self, tmp_path):
@@ -313,7 +321,8 @@ class TestRoundTrip:
         a = load_csv(write(tmp_path / "a.csv", BASIC_CSV))
         b = load_csv(write(tmp_path / "b.csv", shuffled))
         assert a.components == b.components
-        assert to_json(build_report(a, input_path="x")) == to_json(build_report(b, input_path="x"))
+        a.provenance.source = b.provenance.source = "x"
+        assert to_json(build_report(a)) == to_json(build_report(b))
 
     def test_loaded_arrays_are_frozen(self, tmp_path):
         ds = load_csv(write(tmp_path / "d.csv", BASIC_CSV))

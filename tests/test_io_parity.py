@@ -277,8 +277,7 @@ def test_csv_load_parity(tmp_path, name):
 
 def test_csv_remapped_columns_parity(tmp_path):
     path = write(tmp_path / "d.csv", "who,what,points,id\nA,q,1,x\nB,q,2,y\nB,q,z,\n")
-    assert_csv_parity(path, group_col="who", component_col="what", score_col="points",
-                      sample_col="id")
+    assert_csv_parity(path, group_col="who", component_col="what", score_col="points")
 
 
 def test_rows_after_blank_lines_keep_their_line_numbers(tmp_path):

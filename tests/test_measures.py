@@ -616,6 +616,14 @@ class TestEvaluateComponent:
         with pytest.raises(DomainError, match="unknown measures"):
             evaluate_component(gs, measures=["bogus"])
 
+    def test_a_bare_string_is_named_whole(self):
+        gs = grouped({"A": [1], "B": [2]})
+        match = r"^measures must be a collection of keys, not the string 'mdg_sqfr';"
+        with pytest.raises(DomainError, match=match):
+            evaluate_component(gs, measures="mdg_sqfr")
+        with pytest.raises(DomainError, match=match):
+            build_report(Dataset({"q": gs}), selected="mdg_sqfr")
+
     def test_results_are_tagged_scores(self):
         gs = grouped({"A": [1, 2], "B": [3]})
         for s in evaluate_component(gs):

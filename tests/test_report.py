@@ -113,8 +113,9 @@ class TestBuild:
 
 class TestSerialization:
     def test_json_is_deterministic(self, dataset):
-        a = to_json(build_report(dataset, input_path="d.csv"))
-        b = to_json(build_report(dataset, input_path="d.csv"))
+        dataset.provenance.source = "d.csv"
+        a = to_json(build_report(dataset))
+        b = to_json(build_report(dataset))
         assert a == b
 
     def test_json_carries_raw_doubles(self, dataset):
@@ -175,7 +176,8 @@ class TestSerialization:
         assert json.loads(to_json(report))["components"][0]["component"] == "q\r\n1"
 
     def test_markdown_keeps_a_line_break_in_the_input_path_on_its_line(self, dataset):
-        report = build_report(dataset, input_path="a\nb|c.csv")
+        dataset.provenance.source = "a\nb|c.csv"
+        report = build_report(dataset)
         assert r"- input: a<br>b\|c.csv" in to_markdown(report).splitlines()
 
     def test_render_dispatch(self, dataset):
@@ -187,9 +189,9 @@ class TestSerialization:
             render(report, "yaml")
 
     def test_metadata_fields(self, dataset):
+        dataset.provenance.source = "x.csv"
         meta = build_report(
-            dataset, threshold_step=0.5, thresholds_mode="observed",
-            precision=2, input_path="x.csv",
+            dataset, threshold_step=0.5, thresholds_mode="observed", precision=2,
         ).metadata
         assert meta["input"] == "x.csv"
         assert meta["threshold_step"] == 0.5

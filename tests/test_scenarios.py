@@ -102,14 +102,14 @@ class TestGenerate:
             seed=3,
         )
         out = generate(spec)
-        pooled = out.union()
+        pooled = np.concatenate(list(out.groups.values()))
         assert pooled.min() >= 0 and pooled.max() <= 100
         assert np.all(pooled == np.rint(pooled))
 
     def test_unquantized_keeps_fractions(self):
         spec = normal_spec()
         spec.quantize = False
-        pooled = generate(spec).union()
+        pooled = np.concatenate(list(generate(spec).groups.values()))
         assert np.any(pooled != np.rint(pooled))
 
     def test_mixture_is_bimodal(self):
@@ -200,7 +200,7 @@ class TestGenerate:
     def test_generated_scores_respect_clamp_range(self):
         spec = normal_spec()
         spec.clamp_range = (40.0, 60.0)
-        pooled = generate(spec).union()
+        pooled = np.concatenate(list(generate(spec).groups.values()))
         assert pooled.min() >= 40 and pooled.max() <= 60
 
 
