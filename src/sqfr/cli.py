@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -25,8 +24,6 @@ from . import __version__, dataset as dataset_io, plotdata, report, scenarios
 from .errors import ConfigError, DomainError, ParseError, ValidationError
 from .measures import THRESHOLD_MODES, _median, _scale_free, check_sweep
 
-PRECISION_ENV = "SQFR_PRECISION"
-
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="dataset file (.csv or .json)")
@@ -34,11 +31,8 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--component-col", default="component",
                    help="CSV column with the quality component id")
     p.add_argument("--score-col", default="score", help="CSV column with the quality score")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--strict", dest="strict", action="store_true", default=True,
-                      help="fail on any malformed row (default)")
-    mode.add_argument("--lenient", dest="strict", action="store_false",
-                      help="skip malformed rows with a warning")
+    p.add_argument("--lenient", dest="strict", action="store_false",
+                   help="skip malformed CSV rows with a warning (JSON input is always strict)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,8 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="step of the discard threshold sweep (default 1)")
     p_eval.add_argument("--thresholds", choices=THRESHOLD_MODES, default="sequence",
                         help="sweep thresholds: fixed-step sequence (default) or observed scores")
-    p_eval.add_argument("--precision", type=int, default=None,
-                        help=f"decimal places in csv/markdown output (default ${PRECISION_ENV} or 3)")
+    p_eval.add_argument("--precision", type=int, default=3,
+                        help="decimal places in csv/markdown output (default 3)")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic dataset file")
@@ -68,9 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--scenario", help="builtin scenario name (see error message for the list)")
     src.add_argument("--spec", help="scenario spec JSON file")
     p_sim.add_argument("--seed", type=int, default=None, help="override the spec's seed")
-    p_sim.add_argument("--out", required=True, help="dataset file to write (.csv or .json)")
-    p_sim.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="dataset format (default: by --out extension)")
+    p_sim.add_argument("--out", required=True,
+                       help="dataset file to write: JSON if it ends in .json, else CSV")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_plot = sub.add_parser("plotdata", help="export histogram and density series")
@@ -106,9 +99,14 @@ def entry() -> None:
     sys.exit(main())
 
 
+def _is_json(path) -> bool:
+    """Whether a dataset file is JSON by its name: a ``.json`` suffix in any case."""
+    return Path(path).suffix.lower() == ".json"
+
+
 def _load(args) -> dataset_io.Dataset:
     path = Path(args.input)
-    if path.suffix.lower() == ".json":
+    if _is_json(path):
         ds = dataset_io.load_json(path)
     else:
         ds = dataset_io.load_csv(
@@ -135,21 +133,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _resolve_precision(value: int | None) -> int:
-    if value is None:
-        raw = os.environ.get(PRECISION_ENV)
-        if raw is None:
-            return 3
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"{PRECISION_ENV}={raw!r} is not an integer") from None
-    report.check_precision(value)
-    return value
-
-
 def _cmd_eval(args) -> int:
-    precision = _resolve_precision(args.precision)
+    report.check_precision(args.precision)
     selected = report.parse_measure_list(args.measures)
     check_sweep(args.threshold_step, args.thresholds)
     ds = _load(args)
@@ -160,7 +145,7 @@ def _cmd_eval(args) -> int:
         selected=selected,
         threshold_step=args.threshold_step,
         thresholds_mode=args.thresholds,
-        precision=precision,
+        precision=args.precision,
     )
     _emit(report.render(result, args.format), args.out)
     return 0
@@ -179,7 +164,7 @@ def _cmd_simulate(args) -> int:
         spec = scenarios.ScenarioSpec.from_json_file(args.spec)
     if args.seed is not None:
         spec.seed = args.seed
-    fmt = args.format or ("json" if Path(args.out).suffix.lower() == ".json" else "csv")
+    fmt = "json" if _is_json(args.out) else "csv"
     if fmt == "csv":
         dataset_io.check_csv_label(spec.name, "scenario name")
         for g in spec.groups:

@@ -437,20 +437,27 @@ def select_measures(names: Iterable[str] | None = None) -> tuple[str, ...]:
     """The measures to compute, as canonical keys in :data:`ALL_MEASURES` order.
 
     None selects all six. Otherwise each key counts once, whatever its
-    position or repetition in ``names``; a name that is not a canonical key,
-    such as the hyphenated CLI spelling, raises DomainError, as does a bare
-    string in place of a collection of keys.
+    position or repetition in ``names``. DomainError is raised for a bare
+    ``str``, ``bytes`` or ``bytearray`` in place of a collection of keys, for
+    anything else that is not iterable, and for an entry that is not a
+    canonical key, such as the hyphenated CLI spelling, a number or a list;
+    the message names every such entry, sorted when all are strings.
     """
     if names is None:
         return ALL_MEASURES
-    if isinstance(names, str):
+    if isinstance(names, (str, bytes, bytearray)):
         raise DomainError(f"measures must be a collection of keys, not the string {names!r};"
                           f" expected keys from {ALL_MEASURES}")
-    requested = set(names)
-    unknown = requested - set(ALL_MEASURES)
+    if not isinstance(names, Iterable):
+        raise DomainError(f"measures must be a collection of keys, not {names!r};"
+                          f" expected keys from {ALL_MEASURES}")
+    names = list(names)
+    unknown = [m for m in names if not (isinstance(m, str) and m in ALL_MEASURES)]
     if unknown:
-        raise DomainError(f"unknown measures: {sorted(unknown)}; expected keys from {ALL_MEASURES}")
-    return tuple(m for m in ALL_MEASURES if m in requested)
+        if all(isinstance(m, str) for m in unknown):
+            unknown = sorted(set(unknown))
+        raise DomainError(f"unknown measures: {unknown}; expected keys from {ALL_MEASURES}")
+    return tuple(m for m in ALL_MEASURES if m in names)
 
 
 def check_sweep(step: float, mode: str) -> None:

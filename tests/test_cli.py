@@ -163,15 +163,19 @@ class TestEval:
         assert len(json.loads(capsys.readouterr().out)["components"]) == 3
         assert sorted(calls) == ["q1", "q2", "q3"]
 
-    def test_precision_env_default(self, q2_csv, tmp_path):
-        out = tmp_path / "r.csv"
-        subprocess.run(
-            [sys.executable, "-m", "sqfr.cli", "eval", "--input", str(q2_csv),
-             "--format", "csv", "--out", str(out)],
-            env=child_env(SQFR_PRECISION="1"),
-            check=True,
-        )
-        assert ",0.9," in out.read_text()
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--input", "none.csv", "--strict"],
+        ["plotdata", "--input", "none.csv", "--strict"],
+        ["simulate", "--scenario", "q1", "--format", "csv"],
+    ])
+    def test_a_removed_flag_is_refused(self, tmp_path, capsys, argv):
+        # argparse exits 2 before anything is read or written
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBadNumericParameters:
@@ -213,17 +217,14 @@ class TestBadNumericParameters:
         assert [line for line in lines if line.startswith("error:")] == lines[-1:]
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("env, argv", [
-        ({"SQFR_PRECISION": "abc"}, []),
-        ({}, ["--precision", "-1"]),
-        ({}, ["--precision", "2147483648"]),
-        ({"SQFR_PRECISION": "2147483648"}, []),
+    @pytest.mark.parametrize("argv", [
+        ["--precision", "-1"],
+        ["--precision", "2147483648"],
     ])
-    def test_bad_precision_exits_2(self, q2_csv, monkeypatch, capsys, env, argv):
-        monkeypatch.delenv("SQFR_PRECISION", raising=False)
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
-        assert main(["eval", "--input", str(q2_csv), "--format", "csv"] + argv) == 2
+    def test_bad_precision_exits_2(self, tmp_path, capsys, argv):
+        # rejected before the input is read: no file exists
+        missing = tmp_path / "none.csv"
+        assert main(["eval", "--input", str(missing), "--format", "csv"] + argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "precision" in captured.err.lower()
@@ -580,6 +581,37 @@ class TestDeterminism:
                 outs.append(capsys.readouterr().out)
             assert outs[0] == outs[1], command
             assert json.loads(outs[0])["metadata"]["input"] == "q1.csv", command
+
+    def test_eval_reads_no_environment_variable(self, q2_csv, tmp_path):
+        # a report depends only on its input and its flags
+        outs = {}
+        for fmt in ("json", "csv"):
+            for env in ({}, {"SQFR_PRECISION": "1"}):
+                out = tmp_path / f"r-{fmt}-{len(env)}"
+                subprocess.run(
+                    [sys.executable, "-m", "sqfr.cli", "eval", "--input", str(q2_csv),
+                     "--format", fmt, "--out", str(out)],
+                    env=child_env(**env),
+                    check=True,
+                )
+                outs[fmt, len(env)] = out.read_bytes()
+            assert outs[fmt, 0] == outs[fmt, 1], fmt
+        assert b",0.9," not in outs["csv", 0]
+        assert json.loads(outs["json", 0])["metadata"]["precision"] == 3
+
+    def test_simulate_writes_json_for_a_json_suffix_in_any_case(self, tmp_path, capsys):
+        # the writer picks its format by the rule the loader reads by
+        (tmp_path / "upper").mkdir()
+        upper, lower = tmp_path / "upper" / "Q1.JSON", tmp_path / "q1.json"
+        reports = []
+        for data in (upper, lower):
+            assert main(["simulate", "--scenario", "q1", "--out", str(data)]) == 0
+            capsys.readouterr()
+            assert main(["eval", "--input", str(data), "--format", "csv"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert upper.read_bytes() == lower.read_bytes()
+        assert list(json.loads(upper.read_bytes())["components"]) == ["q1"]
+        assert reports[0] == reports[1]
 
 
 #: sha256 of each CLI output for the builtin scenarios: refactors must keep

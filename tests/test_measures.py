@@ -4,6 +4,7 @@ Expected values tagged "oracle:" were computed with the literal definition
 (double-loop Gini, hand-counted discard fractions) and frozen here.
 """
 
+import re
 import tracemalloc
 from unittest import mock
 
@@ -616,13 +617,29 @@ class TestEvaluateComponent:
         with pytest.raises(DomainError, match="unknown measures"):
             evaluate_component(gs, measures=["bogus"])
 
-    def test_a_bare_string_is_named_whole(self):
+    @pytest.mark.parametrize("names", ["mdg_sqfr", b"mdg_sqfr", bytearray(b"mdg_sqfr")],
+                             ids=["str", "bytes", "bytearray"])
+    def test_a_bare_string_is_named_whole(self, names):
         gs = grouped({"A": [1], "B": [2]})
-        match = r"^measures must be a collection of keys, not the string 'mdg_sqfr';"
+        match = rf"^measures must be a collection of keys, not the string {re.escape(repr(names))};"
         with pytest.raises(DomainError, match=match):
-            evaluate_component(gs, measures="mdg_sqfr")
+            evaluate_component(gs, measures=names)
         with pytest.raises(DomainError, match=match):
-            build_report(Dataset({"q": gs}), selected="mdg_sqfr")
+            build_report(Dataset({"q": gs}), selected=names)
+
+    @pytest.mark.parametrize("names, named", [
+        (["x", 1], "['x', 1]"),
+        ([["mdg_sqfr"]], "[['mdg_sqfr']]"),
+        (["mdg_sqfr", {"lwm_gc_sqfr"}, None], "[{'lwm_gc_sqfr'}, None]"),
+        (["mean-gc-sqfr", "b", "mdg_sqfr", "b"], "['b', 'mean-gc-sqfr']"),
+        (5, "not 5"),
+    ], ids=["mixed-types", "unhashable", "set-and-none", "strings-sorted", "not-iterable"])
+    def test_every_bad_selection_raises_domain_error(self, names, named):
+        gs = grouped({"A": [1], "B": [2]})
+        with pytest.raises(DomainError, match=re.escape(named)):
+            evaluate_component(gs, measures=names)
+        with pytest.raises(DomainError, match=re.escape(named)):
+            build_report(Dataset({"q": gs}), selected=names)
 
     def test_results_are_tagged_scores(self):
         gs = grouped({"A": [1, 2], "B": [3]})
