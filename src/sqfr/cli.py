@@ -25,14 +25,20 @@ from .errors import ConfigError, DomainError, ParseError, ValidationError
 from .measures import THRESHOLD_MODES, _median, _scale_free, check_sweep
 
 
+#: The flags only CSV input takes, by the ``load_csv`` parameter each sets.
+_CSV_FLAGS = {"group_col": "--group-col", "component_col": "--component-col",
+              "score_col": "--score-col", "strict": "--lenient"}
+
+
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True, help="dataset file (.csv or .json)")
-    p.add_argument("--group-col", default="group", help="CSV column with the group label")
-    p.add_argument("--component-col", default="component",
-                   help="CSV column with the quality component id")
-    p.add_argument("--score-col", default="score", help="CSV column with the quality score")
-    p.add_argument("--lenient", dest="strict", action="store_false",
-                   help="skip malformed CSV rows with a warning (JSON input is always strict)")
+    p.add_argument("--input", required=True, help="dataset file: JSON if it ends in .json, else CSV")
+    # no defaults here: load_csv holds them, and JSON input takes none of these
+    csv_only = p.add_argument_group("CSV input only", argument_default=argparse.SUPPRESS)
+    csv_only.add_argument("--group-col", help="CSV column with the group label")
+    csv_only.add_argument("--component-col", help="CSV column with the quality component id")
+    csv_only.add_argument("--score-col", help="CSV column with the quality score")
+    csv_only.add_argument("--lenient", dest="strict", action="store_false",
+                          help="skip malformed CSV rows with a warning")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,23 +105,16 @@ def entry() -> None:
     sys.exit(main())
 
 
-def _is_json(path) -> bool:
-    """Whether a dataset file is JSON by its name: a ``.json`` suffix in any case."""
-    return Path(path).suffix.lower() == ".json"
-
-
 def _load(args) -> dataset_io.Dataset:
     path = Path(args.input)
-    if _is_json(path):
-        ds = dataset_io.load_json(path)
+    given = {key: getattr(args, key) for key in _CSV_FLAGS if key in args}
+    if not dataset_io.is_json(path):
+        ds = dataset_io.load_csv(path, **given)
+    elif given:
+        flags = ", ".join(_CSV_FLAGS[key] for key in given)
+        raise ConfigError(f"{path} is JSON; only CSV input takes {flags}")
     else:
-        ds = dataset_io.load_csv(
-            path,
-            group_col=args.group_col,
-            component_col=args.component_col,
-            score_col=args.score_col,
-            strict=args.strict,
-        )
+        ds = dataset_io.load_json(path)
     _print_diagnostics(ds.provenance.warnings)
     return ds
 
@@ -164,8 +163,7 @@ def _cmd_simulate(args) -> int:
         spec = scenarios.ScenarioSpec.from_json_file(args.spec)
     if args.seed is not None:
         spec.seed = args.seed
-    fmt = "json" if _is_json(args.out) else "csv"
-    if fmt == "csv":
+    if not dataset_io.is_json(args.out):
         dataset_io.check_csv_label(spec.name, "scenario name")
         for g in spec.groups:
             dataset_io.check_csv_label(g.label, "group label")
@@ -173,7 +171,7 @@ def _cmd_simulate(args) -> int:
     drawn = scenarios.draw_groups(spec)
     summary = [f"wrote {args.out} (scenario '{spec.name}', seed {spec.seed})",
                "group  count  mean     median"]
-    dataset_io.save_groups(spec.name, _summarized(drawn, summary), args.out, fmt)
+    dataset_io.save_groups(spec.name, _summarized(drawn, summary), args.out)
     print("\n".join(summary))
     return 0
 

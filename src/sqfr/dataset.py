@@ -1,6 +1,6 @@
 """Loading, validating and writing per-sample quality-score datasets.
 
-Two interchangeable on-disk formats:
+Two interchangeable on-disk formats, told apart by name (``is_json``):
 
 * CSV: UTF-8 with a header row, RFC-4180 quoting. Default columns
   ``group``, ``component`` and ``score``, whose names are remappable, and
@@ -534,6 +534,11 @@ def dumps_json(data) -> str:
     return buf.getvalue()
 
 
+def is_json(path) -> bool:
+    """Whether a dataset file is JSON by its name: a ``.json`` suffix in any case."""
+    return Path(path).suffix.lower() == ".json"
+
+
 def check_csv_label(value, what: str) -> None:
     """Raise ConfigError if ``value``, a component id or group label, holds a
     quote, CR or LF: :func:`save_csv` would write it, quoted, but
@@ -557,20 +562,17 @@ def save_json(data, path) -> None:
         _write_json(_as_components(data), fh)
 
 
-def save_groups(component_id: str, groups, path, fmt: str) -> None:
-    """Write one component to ``path`` as UTF-8 in ``fmt`` ("csv" or "json"),
-    its groups taken from ``groups``, an iterable of ``(label, scores)``
-    pairs: the bytes ``save_csv`` or ``save_json`` write for
-    ``GroupedScores(component_id, dict(groups))``.
+def save_groups(component_id: str, groups, path) -> None:
+    """Write one component to ``path`` as UTF-8, in the format ``is_json``
+    tells by its name, its groups taken from ``groups``, an iterable of
+    ``(label, scores)`` pairs: the bytes ``save_csv`` or ``save_json`` write
+    for ``GroupedScores(component_id, dict(groups))``.
 
     Each group is written before the next is taken, and the writer keeps
     no reference to it, so groups drawn one at a time are held one at a
-    time. Any other ``fmt`` is a ConfigError, raised before ``path`` is
-    opened; a save that fails part way may leave a partial file.
+    time; a save that fails part way may leave a partial file.
     """
-    write = {"csv": _write_csv, "json": _write_json}.get(fmt)
-    if write is None:
-        raise ConfigError(f"unknown dataset format {fmt!r}; expected 'csv' or 'json'")
+    write = _write_json if is_json(path) else _write_csv
     with open(path, "w", encoding="utf-8") as fh:
         write([(component_id, groups)], fh)
 

@@ -178,6 +178,39 @@ class TestEval:
         assert not out.exists()
 
 
+class TestCsvOnlyFlags:
+    """--group-col, --component-col, --score-col and --lenient are load_csv's
+    options; on JSON input each is refused, not ignored."""
+
+    NAMES = ["--group-col", "--component-col", "--score-col", "--lenient"]
+    ALL_FOUR = ["--group-col", "g", "--component-col", "c", "--score-col", "s", "--lenient"]
+
+    @pytest.mark.parametrize("command", ["eval", "plotdata"])
+    @pytest.mark.parametrize("flags", [
+        ["--group-col", "g"],
+        ["--component-col", "c"],
+        ["--score-col", "s"],
+        ["--lenient"],
+        ALL_FOUR,
+    ], ids=["group-col", "component-col", "score-col", "lenient", "all-four"])
+    def test_json_input_exits_2_naming_each_flag(self, tmp_path, capsys, command, flags):
+        path = tmp_path / "d.json"
+        save_json(singleton_component("q", [1.0, 2.0]), path)
+        out = tmp_path / "out.json"
+        assert main([command, "--input", str(path), *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {path} ")
+        assert [f for f in self.NAMES if f in line] == [f for f in flags if f in self.NAMES]
+        assert not out.exists()
+
+    def test_the_check_comes_before_the_file_is_read(self, tmp_path, capsys):
+        # a missing JSON file would exit 1
+        assert main(["eval", "--input", str(tmp_path / "none.json"), "--lenient"]) == 2
+        assert "--lenient" in capsys.readouterr().err
+
+
 class TestBadNumericParameters:
     """Each out-of-range numeric option exits 2 with one typed error line."""
 

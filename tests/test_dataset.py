@@ -294,11 +294,18 @@ class TestRoundTrip:
         assert (tmp_path / "out.csv").read_text(encoding="utf-8") == dumps_csv(gs)
         assert (tmp_path / "out.json").read_text(encoding="utf-8") == dumps_json(gs)
 
-    def test_save_groups_rejects_an_unknown_format_before_opening(self, tmp_path):
-        path = tmp_path / "x.xml"
-        with pytest.raises(ConfigError, match=r"^unknown dataset format 'XML'"):
-            save_groups("q", [("A", np.array([1.0]))], path, "XML")
-        assert not path.exists()
+    @pytest.mark.parametrize("name, dumps", [
+        ("out.json", dumps_json),
+        ("out.JSON", dumps_json),
+        ("out.csv", dumps_csv),
+        ("out.txt", dumps_csv),
+        ("out", dumps_csv),
+    ])
+    def test_save_groups_takes_its_format_from_the_name(self, tmp_path, name, dumps):
+        # JSON for a .json suffix in any case, CSV for any other name
+        gs = GroupedScores("q", {"Å": np.linspace(0, 100, 20_001), "B": [1.0]})
+        save_groups("q", iter(gs.groups.items()), tmp_path / name)
+        assert (tmp_path / name).read_bytes() == dumps(gs).encode("utf-8")
 
     def test_fractional_scores_roundtrip_exactly(self, tmp_path):
         gs = GroupedScores("q", {"A": [0.1, 1 / 3], "B": [99.999999]})
