@@ -31,7 +31,7 @@ from .measures import (
     relevant_thresholds,
     sqfr,
 )
-from .dataset import Dataset, load_csv, load_json, save_csv, save_json, validate
+from .dataset import Dataset, load_csv, load_json, save, validate
 from .scenarios import (
     AggregateFixture,
     GroupSpec,
@@ -73,8 +73,7 @@ __all__ = [
     "median_aggregate",
     "observed_thresholds",
     "relevant_thresholds",
-    "save_csv",
-    "save_json",
+    "save",
     "sqfr",
     "validate",
 ]

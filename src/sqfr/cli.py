@@ -171,7 +171,7 @@ def _cmd_simulate(args) -> int:
     drawn = scenarios.draw_groups(spec)
     summary = [f"wrote {args.out} (scenario '{spec.name}', seed {spec.seed})",
                "group  count  mean     median"]
-    dataset_io.save_groups(spec.name, _summarized(drawn, summary), args.out)
+    dataset_io.save({spec.name: _summarized(drawn, summary)}, args.out)
     print("\n".join(summary))
     return 0
 

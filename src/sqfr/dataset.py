@@ -43,10 +43,10 @@ The writers quote the labels once per group and format the scores in
 blocks of ``_WRITE_BLOCK``. In a block whose values repeat, as quantized
 scores do, each distinct score is formatted once and its text reused for
 every row that holds it; a block with few repeats is formatted score by
-score. ``dumps_csv`` and ``dumps_json`` collect the blocks into one string;
-``save_csv`` and ``save_json`` stream them block by block into the file, so
-a save never holds the whole text. ``save_groups`` runs the same loops on
-one component whose groups come one at a time, and keeps none it wrote.
+score. ``save`` streams them block by block into the file, in the format
+``is_json`` tells by its name, so a save never holds the whole text; a
+component's groups may come one at a time, and it keeps none it wrote.
+``dumps_csv`` collects the CSV blocks into one string.
 """
 
 from __future__ import annotations
@@ -511,26 +511,20 @@ def validate(dataset: Dataset) -> list[Diagnostic]:
 
 def _as_components(data) -> list:
     """(component id, (label, scores) pairs) for each component of ``data``,
-    the form the write loops take."""
+    the form the write loops take. A component given as pairs is passed on
+    as it is, so groups drawn one at a time stay one at a time."""
     if isinstance(data, Dataset):
         data = data.components
     elif isinstance(data, GroupedScores):
         data = {data.component_id: data}
-    return [(cid, grouped.groups.items()) for cid, grouped in dict(data).items()]
+    return [(cid, groups.groups.items() if isinstance(groups, GroupedScores) else groups)
+            for cid, groups in dict(data).items()]
 
 
 def dumps_csv(data) -> str:
-    """Serialize components to CSV text (component, group, score rows)."""
+    """The CSV text (component, group, score rows) ``save`` writes for ``data``."""
     buf = io.StringIO()
     _write_csv(_as_components(data), buf)
-    return buf.getvalue()
-
-
-def dumps_json(data) -> str:
-    """Serialize components to the JSON dataset schema, as the text of
-    ``json.dumps(doc, indent=2)`` with one score per line."""
-    buf = io.StringIO()
-    _write_json(_as_components(data), buf)
     return buf.getvalue()
 
 
@@ -541,40 +535,28 @@ def is_json(path) -> bool:
 
 def check_csv_label(value, what: str) -> None:
     """Raise ConfigError if ``value``, a component id or group label, holds a
-    quote, CR or LF: :func:`save_csv` would write it, quoted, but
+    quote, CR or LF: :func:`save` would write it to CSV, quoted, but
     :func:`load_csv` rejects it."""
     if any(ch in str(value) for ch in _FORBIDDEN_LABEL_CHARS):
         raise ConfigError(f"{what} {value!r} contains quote or newline characters,"
                           " which a CSV dataset cannot hold; write JSON instead")
 
 
-def save_csv(data, path) -> None:
-    """Write ``dumps_csv(data)`` to ``path`` as UTF-8, block by block."""
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_csv(_as_components(data), fh)
+def save(data, path) -> None:
+    """Write ``data`` to ``path`` as UTF-8, block by block, in the format
+    ``is_json`` tells by its name: JSON as ``json.dumps(doc, indent=2)``
+    spells it, with one score per line, or CSV.
 
-
-def save_json(data, path) -> None:
-    """Write ``dumps_json(data)`` to ``path`` as UTF-8, block by block. Like
-    ``json.dump``, a save that fails part way (TypeError for a key JSON
-    cannot spell, or OSError) may leave a partial file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_json(_as_components(data), fh)
-
-
-def save_groups(component_id: str, groups, path) -> None:
-    """Write one component to ``path`` as UTF-8, in the format ``is_json``
-    tells by its name, its groups taken from ``groups``, an iterable of
-    ``(label, scores)`` pairs: the bytes ``save_csv`` or ``save_json`` write
-    for ``GroupedScores(component_id, dict(groups))``.
-
-    Each group is written before the next is taken, and the writer keeps
-    no reference to it, so groups drawn one at a time are held one at a
-    time; a save that fails part way may leave a partial file.
+    ``data`` is a Dataset, a GroupedScores, or a mapping from component id
+    to a GroupedScores or an iterable of ``(label, scores)`` pairs. Each
+    group is written before the next is taken, and the writer keeps no
+    reference to it, so groups drawn one at a time are held one at a time.
+    Like ``json.dump``, a save that fails part way (TypeError for a key
+    JSON cannot spell, or OSError) may leave a partial file.
     """
     write = _write_json if is_json(path) else _write_csv
     with open(path, "w", encoding="utf-8") as fh:
-        write([(component_id, groups)], fh)
+        write(_as_components(data), fh)
 
 
 def _write_csv(components, out) -> None:

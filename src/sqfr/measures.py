@@ -207,7 +207,7 @@ def relevant_thresholds(scores: GroupedScores, step: float = 1.0) -> np.ndarray:
         )
     count = int(count)
     out = lo + step * np.arange(1, count + 1, dtype=np.float64)
-    if count == 0 or abs(out[-1] - hi) > _STEP_RTOL * max(1.0, abs(hi)):
+    if count == 0 or abs(out[-1] - hi) > _STEP_RTOL * hi:  # hi > 0, as span > 0
         out = np.append(out, hi)
     else:
         out[-1] = hi

@@ -85,8 +85,24 @@ def _quartiles(values: np.ndarray) -> list[float]:
 
 def histogram_edges(lo: float, hi: float, bin_width: float = 1.0) -> np.ndarray:
     """Integer-aligned bin edges of the given width covering [lo, hi], in at
-    most ``MAX_THRESHOLDS`` bins."""
+    most ``MAX_THRESHOLDS`` bins. ConfigError when two edges round to one
+    float, as a width below the float spacing of the scores makes them,
+    naming a width whose edges strictly increase."""
     _check_finite_positive("bin width", bin_width)
+    width = bin_width
+    edges = _edges(lo, hi, width)
+    while not np.all(edges[1:] > edges[:-1]):
+        width = max(2 * width, math.ulp(hi))
+        edges = _edges(lo, hi, width)
+    if width != bin_width:
+        raise ConfigError(
+            f"bin width {bin_width:g} is finer than the float spacing of scores near {hi:g},"
+            f" so some bins would have zero width; a bin width of {width!r} works"
+        )
+    return edges
+
+
+def _edges(lo: float, hi: float, bin_width: float) -> np.ndarray:
     start = math.floor(lo)
     span = hi - start
     bins = span / bin_width - 1e-9

@@ -29,7 +29,7 @@ from sqfr import (
     gini_coefficient,
     mdg,
     relevant_thresholds,
-    save_csv,
+    save,
     sqfr,
 )
 from sqfr.cli import main
@@ -303,7 +303,7 @@ class TestPipeline:
         out = tmp_path / f"{tag}.json"
         started = time.perf_counter()
         components = {spec.name: generate(spec) for spec in self._specs()}
-        save_csv(components, data)
+        save(components, data)
         code = main(["eval", "--input", str(data), "--out", str(out)])
         elapsed = time.perf_counter() - started
         assert code == 0

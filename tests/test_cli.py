@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sqfr
-from sqfr import GroupedScores, save_csv, save_json
+from sqfr import GroupedScores, save
 from sqfr.cli import main
 
 FIVE_GROUP_ROWS = {
@@ -41,7 +41,7 @@ def child_env(**extra):
 @pytest.fixture
 def q2_csv(tmp_path):
     path = tmp_path / "q2.csv"
-    save_csv(singleton_component("q2", [76.6, 89.4, 90.2]), path)
+    save(singleton_component("q2", [76.6, 89.4, 90.2]), path)
     return path
 
 
@@ -124,7 +124,7 @@ class TestEval:
     def test_five_group_csv_matches_published_mean_columns(self, tmp_path, capsys):
         components = {cid: singleton_component(cid, vals) for cid, (vals, _, _) in FIVE_GROUP_ROWS.items()}
         path = tmp_path / "five_groups.json"
-        save_json(components, path)
+        save(components, path)
         code = main(
             ["eval", "--input", str(path), "--measures", "mean-gc-sqfr,mean-gc-csqfr",
              "--format", "csv", "--precision", "6"]
@@ -141,7 +141,7 @@ class TestEval:
 
     def test_json_input_by_extension(self, tmp_path, capsys):
         path = tmp_path / "d.json"
-        save_json(singleton_component("q", [1.0, 2.0]), path)
+        save(singleton_component("q", [1.0, 2.0]), path)
         assert main(["eval", "--input", str(path)]) == 0
 
     def test_observed_thresholds_flag(self, q2_csv, capsys):
@@ -152,7 +152,6 @@ class TestEval:
     def test_eval_checks_each_component_at_most_twice(self, tmp_path, monkeypatch, capsys, suffix):
         # once when loading; the diagnostics and build_report reuse the load's check
         path = tmp_path / f"d{suffix}"
-        save = save_csv if suffix == ".csv" else save_json
         save({cid: singleton_component(cid, [1.0, 2.0, 4.0]) for cid in ("q1", "q2", "q3")}, path)
         calls = []
         original = GroupedScores.problems
@@ -195,7 +194,7 @@ class TestCsvOnlyFlags:
     ], ids=["group-col", "component-col", "score-col", "lenient", "all-four"])
     def test_json_input_exits_2_naming_each_flag(self, tmp_path, capsys, command, flags):
         path = tmp_path / "d.json"
-        save_json(singleton_component("q", [1.0, 2.0]), path)
+        save(singleton_component("q", [1.0, 2.0]), path)
         out = tmp_path / "out.json"
         assert main([command, "--input", str(path), *flags, "--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -482,6 +481,10 @@ class TestSimulate:
 
         draw_group = sqfr.scenarios._draw_group
         monkeypatch.setattr(sqfr.scenarios, "_draw_group", draw)
+        saved = []  # the files written through the library writer
+        save = sqfr.dataset.save
+        monkeypatch.setattr(sqfr.dataset, "save",
+                            lambda data, path: saved.append(path) or save(data, path))
         for name in ("q1", "q3", "all-equal"):
             for ext in ("csv", "json"):
                 buffers.clear()
@@ -489,6 +492,7 @@ class TestSimulate:
                 assert main(["simulate", "--scenario", name, "--out", str(out)]) == 0
                 assert len(buffers) == len(sqfr.builtin_scenarios()[name].groups)
                 assert buffers[-1]() is None
+                assert saved.pop() == str(out)
         capsys.readouterr()
 
     def test_json_output_format(self, tmp_path, capsys):
@@ -539,13 +543,34 @@ class TestPlotdata:
 
     def test_degenerate_group_warns(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
-        save_csv(GroupedScores("q", {"A": [5.0, 5.0], "B": [1.0, 9.0]}), path)
+        save(GroupedScores("q", {"A": [5.0, 5.0], "B": [1.0, 9.0]}), path)
         assert main(["plotdata", "--input", str(path)]) == 0
         captured = capsys.readouterr()
         assert "density omitted" in captured.err
         doc = json.loads(captured.out)
         groups = {g["label"]: g for g in doc["components"][0]["groups"]}
         assert groups["A"]["density"] is None and groups["B"]["density"] is not None
+
+    def test_a_bin_width_below_the_float_spacing_exits_2(self, tmp_path, capsys):
+        # at 1e16 floats are 2 apart: unit-width edges would round onto each
+        # other and give bins of zero width, the CSV's mark of a density point
+        path = tmp_path / "d.csv"
+        path.write_text("component,group,score\nq,A,1e16\nq,A,1.0000000000000004e16\n"
+                        "q,B,1e16\nq,B,1.0000000000000002e16\n")
+        out = tmp_path / "p.csv"
+        assert main(["plotdata", "--input", str(path), "--format", "csv",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: bin width 1 is finer than the float spacing")
+        assert main(["plotdata", "--input", str(path), "--format", "csv", "--bin-width", "4",
+                     "--out", str(out)]) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        bins = [(float(x0), float(x1), int(n)) for _, g, series, x0, x1, n in rows
+                if series == "histogram"]
+        assert all(x0 < x1 for x0, x1, _ in bins)
+        assert sum(n for *_, n in bins) == 4
 
 
 class TestImports:
@@ -563,7 +588,6 @@ class TestImports:
         if command != "simulate":
             ext = command.split("-")[1]
             path = tmp_path / f"d.{ext}"
-            save = save_csv if ext == "csv" else save_json
             save(GroupedScores("q", {"A": np.arange(60.0) % 7, "B": np.arange(40.0) / 3}), path)
             argv = ["plotdata", "--input", str(path), "--out", str(tmp_path / "p.json")]
         child = subprocess.run([sys.executable, "-c", self.CHILD, *argv], env=child_env(),

@@ -17,13 +17,19 @@ from sqfr import (
     ValidationError,
     load_csv,
     load_json,
-    save_csv,
-    save_json,
+    save,
     validate,
 )
 from sqfr.cli import main
-from sqfr.dataset import dumps_csv, dumps_json, save_groups
+from sqfr.dataset import dumps_csv
 from sqfr.report import build_report, to_json
+
+
+def json_text(grouped):
+    """The JSON dataset text of one component, as json.dumps spells it."""
+    doc = {"components": {grouped.component_id: {
+        label: g.tolist() for label, g in grouped.groups.items()}}}
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def write(path, text):
@@ -278,44 +284,47 @@ class TestLoadJson:
 class TestRoundTrip:
     def test_csv_roundtrip(self, tmp_path):
         ds = load_csv(write(tmp_path / "d.csv", BASIC_CSV))
-        save_csv(ds, tmp_path / "out.csv")
+        save(ds, tmp_path / "out.csv")
         assert load_csv(tmp_path / "out.csv").components == ds.components
 
     def test_json_roundtrip(self, tmp_path):
         ds = load_csv(write(tmp_path / "d.csv", BASIC_CSV))
-        save_json(ds, tmp_path / "out.json")
+        save(ds, tmp_path / "out.json")
         assert load_json(tmp_path / "out.json").components == ds.components
 
     def test_saved_files_hold_the_dumped_text(self, tmp_path):
         # larger than one write slice, with a non-ASCII label
         gs = GroupedScores("q", {"Å": np.linspace(0, 100, 150_001), "B": [1.0]})
-        save_csv(gs, tmp_path / "out.csv")
-        save_json(gs, tmp_path / "out.json")
+        save(gs, tmp_path / "out.csv")
+        save(gs, tmp_path / "out.json")
         assert (tmp_path / "out.csv").read_text(encoding="utf-8") == dumps_csv(gs)
-        assert (tmp_path / "out.json").read_text(encoding="utf-8") == dumps_json(gs)
+        assert (tmp_path / "out.json").read_text(encoding="utf-8") == json_text(gs)
 
     @pytest.mark.parametrize("name, dumps", [
-        ("out.json", dumps_json),
-        ("out.JSON", dumps_json),
+        ("out.json", json_text),
+        ("out.JSON", json_text),
         ("out.csv", dumps_csv),
         ("out.txt", dumps_csv),
         ("out", dumps_csv),
     ])
-    def test_save_groups_takes_its_format_from_the_name(self, tmp_path, name, dumps):
+    @pytest.mark.parametrize("given", ["dataset", "grouped", "pairs"])
+    def test_save_takes_its_format_from_the_name(self, tmp_path, name, dumps, given):
         # JSON for a .json suffix in any case, CSV for any other name
         gs = GroupedScores("q", {"Å": np.linspace(0, 100, 20_001), "B": [1.0]})
-        save_groups("q", iter(gs.groups.items()), tmp_path / name)
+        data = {"dataset": Dataset({"q": gs}), "grouped": gs,
+                "pairs": {"q": iter(gs.groups.items())}}[given]
+        save(data, tmp_path / name)
         assert (tmp_path / name).read_bytes() == dumps(gs).encode("utf-8")
 
     def test_fractional_scores_roundtrip_exactly(self, tmp_path):
         gs = GroupedScores("q", {"A": [0.1, 1 / 3], "B": [99.999999]})
-        save_csv(gs, tmp_path / "out.csv")
+        save(gs, tmp_path / "out.csv")
         back = load_csv(tmp_path / "out.csv")
         assert np.array_equal(back.components["q"].groups["A"], np.sort([0.1, 1 / 3]))
 
     def test_cross_format_reports_identical(self, tmp_path):
         csv_ds = load_csv(write(tmp_path / "d.csv", BASIC_CSV))
-        save_json(csv_ds, tmp_path / "d.json")
+        save(csv_ds, tmp_path / "d.json")
         json_ds = load_json(tmp_path / "d.json")
         csv_ds.provenance.source = json_ds.provenance.source = "x"
         a = to_json(build_report(csv_ds))

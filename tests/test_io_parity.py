@@ -1,4 +1,4 @@
-"""The columnar CSV/JSON loaders and CSV writer against per-row oracles.
+"""The columnar CSV/JSON loaders and writer against per-row oracles.
 
 The oracles below are the earlier per-score implementations: a
 ``csv.DictReader`` loop that checks and stores one row at a time, a JSON
@@ -29,11 +29,9 @@ from sqfr.dataset import (
     Provenance,
     _first_path,
     dumps_csv,
-    dumps_json,
     load_csv,
     load_json,
-    save_csv,
-    save_json,
+    save,
 )
 
 # --- oracles: one Python object per score --------------------------------
@@ -170,7 +168,7 @@ def _oracle_canonical(buckets, source):
     return components
 
 
-def oracle_dumps_csv(components):
+def oracle_csv_text(components):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["component", "group", "score"])
@@ -181,7 +179,7 @@ def oracle_dumps_csv(components):
     return buf.getvalue()
 
 
-def oracle_dumps_json(components):
+def oracle_json_text(components):
     doc = {
         "components": {
             cid: {label: [float(s) for s in scores] for label, scores in grouped.groups.items()}
@@ -189,6 +187,12 @@ def oracle_dumps_json(components):
         }
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def saved(data, path):
+    """The text ``save`` writes for ``data`` to ``path``, newlines as written."""
+    save(data, path)
+    return path.read_bytes().decode("utf-8")
 
 
 # --- comparison -----------------------------------------------------------
@@ -471,7 +475,7 @@ def test_json_int_beyond_float_range_is_not_finite(tmp_path, values, bad):
 @pytest.mark.parametrize("name", sorted(builtin_scenarios()))
 def test_dumps_csv_matches_on_scenarios(name):
     grouped = generate(builtin_scenarios()[name])
-    assert dumps_csv(grouped) == oracle_dumps_csv({grouped.component_id: grouped})
+    assert dumps_csv(grouped) == oracle_csv_text({grouped.component_id: grouped})
 
 
 def test_dumps_csv_matches_on_labels_that_need_quoting():
@@ -482,30 +486,30 @@ def test_dumps_csv_matches_on_labels_that_need_quoting():
         "": GroupedScores("", {"new\nline": [4.0], "cr\rlf": [5.0], "tab\t": [6.0]}),
         "empty-group": GroupedScores("empty-group", {"A": [], "B": [1.0]}),
     }
-    assert dumps_csv(comps) == oracle_dumps_csv(comps)
+    assert dumps_csv(comps) == oracle_csv_text(comps)
 
 
 def test_dumps_csv_matches_across_write_blocks():
     scores = np.random.default_rng(3).uniform(0, 100, 200_001)
     grouped = GroupedScores("q", {"A": scores, "B": scores[:7], "C": np.floor(scores)})
-    assert dumps_csv(grouped) == oracle_dumps_csv({"q": grouped})
+    assert dumps_csv(grouped) == oracle_csv_text({"q": grouped})
 
 
 @pytest.mark.parametrize("name", sorted(builtin_scenarios()))
-def test_dumps_json_matches_on_scenarios(name):
+def test_saved_json_matches_on_scenarios(tmp_path, name):
     grouped = generate(builtin_scenarios()[name])
-    assert dumps_json(grouped) == oracle_dumps_json({grouped.component_id: grouped})
+    assert saved(grouped, tmp_path / "d.json") == oracle_json_text({grouped.component_id: grouped})
 
 
-def test_dumps_json_matches_on_extreme_values():
+def test_saved_json_matches_on_extreme_values(tmp_path):
     comps = {
         "q": GroupedScores("q", {"A": [1.0, 0.1, 1e308, 5e-324, -0.0, 2.0**53 + 2], "B": []}),
         "r": GroupedScores("r", {"x,y": np.random.default_rng(5).uniform(0, 100, 1000)}),
     }
-    assert dumps_json(comps) == oracle_dumps_json(comps)
+    assert saved(comps, tmp_path / "d.json") == oracle_json_text(comps)
 
 
-def test_dumps_json_matches_on_labels_that_need_escaping():
+def test_saved_json_matches_on_labels_that_need_escaping(tmp_path):
     comps = {
         'q"uote\\': GroupedScores('q"uote\\', {'a"b': [1.5], "back\\slash": [2.5], "": [3.5]}),
         "ctrl\x00\x1f\x7f": GroupedScores("ctrl\x00\x1f\x7f", {"new\nline\r\t": [4.0], "x": []}),
@@ -513,24 +517,24 @@ def test_dumps_json_matches_on_labels_that_need_escaping():
         "non-finite": GroupedScores("non-finite", {"A": [np.nan, np.inf, -np.inf, 1.0]}),
         "no-groups": GroupedScores("no-groups", {}),
     }
-    assert dumps_json(comps) == oracle_dumps_json(comps)
-    assert dumps_json({}) == oracle_dumps_json({})
+    assert saved(comps, tmp_path / "d.json") == oracle_json_text(comps)
+    assert saved({}, tmp_path / "e.json") == oracle_json_text({})
 
 
-def test_dumps_json_matches_on_labels_that_are_not_str():
+def test_saved_json_matches_on_labels_that_are_not_str(tmp_path):
     comps = {
         1: GroupedScores(1, {2.5: [1.0], True: [2.0], None: [3.0], 7: [4.0], "7": [5.0]}),
         float("nan"): GroupedScores("x", {False: [], float("-inf"): [6.0]}),
     }
-    assert dumps_json(comps) == oracle_dumps_json(comps)
+    assert saved(comps, tmp_path / "d.json") == oracle_json_text(comps)
     with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
-        dumps_json({"q": GroupedScores("q", {("a",): [1.0]})})
+        save({"q": GroupedScores("q", {("a",): [1.0]})}, tmp_path / "e.json")
 
 
-def test_dumps_json_matches_across_write_blocks():
+def test_saved_json_matches_across_write_blocks(tmp_path):
     scores = np.random.default_rng(4).uniform(0, 100, 200_001)
     grouped = GroupedScores("q", {"A": scores, "B": scores[:7], "C": np.floor(scores)})
-    assert dumps_json(grouped) == oracle_dumps_json({"q": grouped})
+    assert saved(grouped, tmp_path / "d.json") == oracle_json_text({"q": grouped})
 
 
 def _mixed_scores():
@@ -549,8 +553,7 @@ def _mixed_scores():
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_writers_match_the_oracle_on_repeated_and_distinct_blocks(monkeypatch, tmp_path, block, fmt):
     monkeypatch.setattr(sqfr.dataset, "_WRITE_BLOCK", block)
-    dumps, save, oracle = {"csv": (dumps_csv, save_csv, oracle_dumps_csv),
-                           "json": (dumps_json, save_json, oracle_dumps_json)}[fmt]
+    oracle = {"csv": oracle_csv_text, "json": oracle_json_text}[fmt]
     mixed = _mixed_scores()
     comps = {"q": GroupedScores("q", {"A": mixed, "B": [0.0, -0.0, 0.0, -0.0], "C": mixed[:1]})}
     gathered = []  # the size of each block spelled per distinct value
@@ -562,21 +565,18 @@ def test_writers_match_the_oracle_on_repeated_and_distinct_blocks(monkeypatch, t
         return distinct(ar, *args, **kwargs)
 
     monkeypatch.setattr(sqfr.dataset, "_distinct", spy)
-    text = dumps(comps)
-    assert text == oracle(comps)
+    assert saved(comps, tmp_path / f"d.{fmt}") == oracle(comps)
     blocks = sum(-(-len(g) // block) for g in comps["q"].groups.values())
     assert 0 < len(gathered) < blocks
     # finite blocks of one value each go per distinct value, distinct floats score by score
     gathered.clear()
-    dumps({"r": GroupedScores("r", {"A": np.repeat([80.0, 81.0], block), "B": np.arange(block) + 0.5})})
+    save({"r": GroupedScores("r", {"A": np.repeat([80.0, 81.0], block), "B": np.arange(block) + 0.5})},
+         tmp_path / f"e.{fmt}")
     assert gathered == [block, block]
-    path = tmp_path / f"d.{fmt}"
-    save(comps, path)
-    assert path.read_bytes() == text.encode("utf-8")
 
 
-#: Components that save_csv and save_json must write exactly as the
-#: dumps_* functions text them.
+#: Components that save must write exactly as dumps_csv and the JSON
+#: oracle text them.
 SAVE_CASES = {
     "longer-than-a-write-block": lambda: {"q": GroupedScores("q", {
         "A": np.random.default_rng(6).uniform(0, 100, 2 * sqfr.dataset._WRITE_BLOCK + 3),
@@ -597,24 +597,24 @@ SAVE_CASES = {
 }
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("suffix", ["csv", "json", "JSON"])
 @pytest.mark.parametrize("case", sorted(SAVE_CASES))
-def test_save_writes_exactly_the_dumped_text(tmp_path, case, fmt):
-    dumps, save = {"csv": (dumps_csv, save_csv), "json": (dumps_json, save_json)}[fmt]
+def test_save_writes_exactly_the_dumped_text(tmp_path, case, suffix):
+    dumps = dumps_csv if suffix == "csv" else oracle_json_text
     comps = SAVE_CASES[case]()
-    path = tmp_path / f"d.{fmt}"
+    path = tmp_path / f"d.{suffix}"
     save(comps, path)
     assert path.read_bytes() == dumps(comps).encode("utf-8")
 
 
-def test_save_json_raises_the_dumps_type_error(tmp_path):
+def test_save_raises_the_json_dumps_type_error(tmp_path):
     comps = {"q": GroupedScores("q", {("a",): [1.0]})}
     with pytest.raises(TypeError) as dumped:
-        dumps_json(comps)
-    with pytest.raises(TypeError) as saved:
-        save_json(comps, tmp_path / "d.json")
-    assert str(saved.value) == str(dumped.value)
-    assert "keys must be str, int, float, bool or None, not tuple" in str(saved.value)
+        oracle_json_text(comps)
+    with pytest.raises(TypeError) as written:
+        save(comps, tmp_path / "d.json")
+    assert str(written.value) == str(dumped.value)
+    assert "keys must be str, int, float, bool or None, not tuple" in str(written.value)
 
 
 # --- round trip -----------------------------------------------------------
@@ -641,9 +641,10 @@ datasets = st.dictionaries(
 def test_written_and_reloaded_csv_equals_the_oracle_load(tmp_path_factory, doc):
     comps = {cid: GroupedScores(cid, groups) for cid, groups in doc.items()}
     text = dumps_csv(comps)
-    assert text == oracle_dumps_csv(comps)
-    assert dumps_json(comps) == oracle_dumps_json(comps)
-    path = tmp_path_factory.mktemp("rt") / "d.csv"
+    assert text == oracle_csv_text(comps)
+    work = tmp_path_factory.mktemp("rt")
+    assert saved(comps, work / "d.json") == oracle_json_text(comps)
+    path = work / "d.csv"
     path.write_text(text, encoding="utf-8")
     loaded = assert_csv_parity(path)
     assert loaded[0] == "loaded"

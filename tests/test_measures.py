@@ -30,7 +30,7 @@ from sqfr import (
     relevant_thresholds,
     sqfr,
 )
-from sqfr.dataset import Dataset, load_csv, load_json, save_csv, save_json, validate
+from sqfr.dataset import Dataset, load_csv, load_json, save, validate
 from sqfr.plotdata import build_plotdata
 from sqfr.report import build_report
 from sqfr.types import DiscardCurve
@@ -190,7 +190,6 @@ class TestCanonicalForm:
     @pytest.mark.parametrize("suffix", [".csv", ".json"])
     def test_loaded_components_are_canonical(self, tmp_path, suffix):
         path = tmp_path / f"d{suffix}"
-        save = save_csv if suffix == ".csv" else save_json
         save({"q1": grouped({"A": [3.0, 1.0, 2.0], "B": [1.0, 2.0]}, "q1"),
               "q2": grouped({"A": [5.0], "B": [9.0, 0.5]}, "q2")}, path)
         ds = (load_csv if suffix == ".csv" else load_json)(path)
@@ -321,6 +320,15 @@ class TestThresholds:
     def test_custom_step(self):
         gs = grouped({"A": [0.0, 10.0], "B": [5.0]})
         assert relevant_thresholds(gs, step=2.5).tolist() == [2.5, 5.0, 7.5, 10.0]
+
+    @pytest.mark.parametrize("k", [0, -40, -20, 40])
+    def test_the_snap_onto_the_maximum_scales_with_the_scores(self, k):
+        # 0.9 is one step short of 1, so the maximum is appended on every scale
+        scale = 2.0 ** k
+        gs = grouped({"A": [0.0, 0.5 * scale], "B": [0.25 * scale, scale]})
+        ts = relevant_thresholds(gs, step=0.3 * scale) / scale
+        assert ts.tolist() == [0.3, 0.6, 0.8999999999999999, 1.0]
+        assert mdg_sqfr(gs, step=0.3 * scale).value == 0.625
 
     def test_step_must_be_positive(self):
         gs = grouped({"A": [1], "B": [2]})
@@ -646,6 +654,38 @@ class TestEvaluateComponent:
         for s in evaluate_component(gs):
             assert isinstance(s, FairnessScore)
             assert 0.0 <= s.value <= 1.0
+
+
+class TestDominanceCounterexamples:
+    """The paper's definitions can rate a component fairer after a group
+    that every other group already dominates is lowered: no score of
+    ``low`` rises, every score of ``a`` stays at or above all of ``low``'s,
+    and the measure still rises. Pinned as today's behaviour, each against
+    its definition."""
+
+    @pytest.mark.parametrize("a, before, after, mode, measure, rates", [
+        ([39], [3, 17], [1, 17], "sequence", "mdg_sqfr", (7 / 36, 4 / 19)),
+        ([5, 7, 8, 10], [0, 0, 0, 1], [0, 0, 0, 0], "observed", "mdg_sqfr", (0.35, 0.375)),
+        ([26], [2, 26], [0, 17], "sequence", "lwm_gc_sqfr",
+         (0.1428571428571429, 0.2878645343367826)),
+    ], ids=["sequence-mdg", "observed-mdg", "lwm"])
+    def test_lowering_a_dominated_group_raises_the_rate(self, a, before, after, mode, measure,
+                                                       rates):
+        assert max(before + after) <= min(a)
+        assert all(new <= old for old, new in zip(sorted(before), sorted(after)))
+        got = []
+        for low in (before, after):
+            gs = grouped({"a": a, "low": low})
+            [score] = evaluate_component(gs, thresholds_mode=mode, measures=[measure])
+            if measure == "mdg_sqfr":
+                sweep = relevant_thresholds(gs) if mode == "sequence" else observed_thresholds(gs)
+                assert score.value == pytest.approx(1 - mdg(discard_curve(gs, sweep)), rel=1e-12)
+            else:
+                assert score.value == pytest.approx(sqfr(gini_coefficient(lwm_aggregate(gs))),
+                                                    rel=1e-12)
+            got.append(score.value)
+        assert got == pytest.approx(list(rates), rel=1e-12)
+        assert got[1] > got[0]
 
 
 class TestFairnessScoreType:

@@ -70,6 +70,21 @@ class TestEdges:
         assert 0 < histogram_edges(0.0, 1e12, bin_width=width * 1.000001).size - 1 <= 100
 
 
+    @pytest.mark.parametrize("lo, hi, width", [
+        (1e16, 1.0000000000000004e16, 1.0),
+        (1e16, 1e16, 1.0),
+        (2.0**60, 2.0**60 + 2048, 100.0),
+        (1e300, 1e300, 1e-300),
+    ], ids=["1e16", "one-value-at-1e16", "2**60", "1e300"])
+    def test_zero_width_bins_name_a_width_that_works(self, lo, hi, width):
+        with pytest.raises(ConfigError, match="zero width") as info:
+            histogram_edges(lo, hi, bin_width=width)
+        named = float(str(info.value).rsplit("a bin width of ", 1)[1].split()[0])
+        assert named > width
+        edges = histogram_edges(lo, hi, bin_width=named)
+        assert np.all(np.diff(edges) > 0) and edges[0] <= lo and edges[-1] >= hi
+
+
 class TestBuild:
     def test_counts_sum_to_group_sizes(self):
         rng = np.random.default_rng(2)

@@ -413,6 +413,36 @@ class TestDiscardProperties:
             assert np.all(np.diff(ts) > 0)
 
 
+#: Scores that stay normal floats when scaled by 2**k for k in [-40, 40].
+scalable_scores = st.one_of(
+    st.just(0.0),
+    st.integers(min_value=0, max_value=100).map(float),
+    st.floats(min_value=1e-3, max_value=100.0),
+)
+
+
+class TestUnitInvariance:
+    """A score unit that is a power of two changes no bit of any measure:
+    scaling by 2**k is exact, so every sum, quotient and threshold of the
+    scaled scores is the scaled one of the originals."""
+
+    @given(
+        st.lists(st.lists(scalable_scores, min_size=1, max_size=12), min_size=2, max_size=4)
+        .map(lambda gs: GroupedScores("q", {f"g{i}": g for i, g in enumerate(gs)})),
+        st.floats(min_value=0.05, max_value=30.0),
+        st.integers(min_value=-40, max_value=40),
+    )
+    @example(GroupedScores("q", {"A": [0.0, 0.5], "B": [0.25, 1.0]}), 0.3, -40)
+    @settings(max_examples=300, deadline=None)
+    def test_power_of_two_rescaling_keeps_every_bit(self, grouped, step, k):
+        scale = 2.0 ** k
+        scaled = GroupedScores("q", {label: g * scale for label, g in grouped.groups.items()})
+        before = evaluate_component(grouped, step, "sequence")
+        after = evaluate_component(scaled, step * scale, "sequence")
+        assert [s.measure for s in after] == [s.measure for s in before]
+        assert [s.value.hex() for s in after] == [s.value.hex() for s in before]
+
+
 class TestMedianConvention:
     @given(st.lists(st.floats(min_value=0, max_value=100, allow_nan=False), min_size=2, max_size=20))
     @settings(max_examples=150)
