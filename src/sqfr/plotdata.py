@@ -5,10 +5,10 @@ caller prefers. Histogram bins share integer-aligned unit-width edges
 across the groups of a component so the groups are directly comparable.
 Densities are Gaussian kernel estimates with Silverman's rule-of-thumb
 bandwidth 0.9 * min(sd, IQR/1.34) * n^(-1/5) (the IQR candidate is ignored
-when zero). A group whose Silverman bandwidth degenerates to zero, or puts
-its density grid beyond the float range, gets a histogram only, plus a
-warning; a given bandwidth that puts a grid beyond that range raises
-ConfigError.
+when zero). A group whose Silverman bandwidth degenerates to zero, puts its
+density grid beyond the float range or spaces the grid's points closer than
+the floats there, gets a histogram only, plus a warning; a given bandwidth
+that does either of the last two raises ConfigError.
 """
 
 from __future__ import annotations
@@ -182,24 +182,28 @@ def build_plotdata(
             counts, _ = np.histogram(values, bins=edges)
             where = f"component '{cid}' group '{label}'"
             h = bandwidth if bandwidth is not None else silverman_bandwidth(values)
-            # Python floats: a grid end beyond the double range is inf, with no warning
-            lo, hi = float(values[0]) - _GRID_PAD * h, float(values[-1]) + _GRID_PAD * h
+            x = _density_grid(values, h, grid_points) if h > 0 else None
             density = None
-            if h > 0 and math.isfinite(hi - lo):
-                x = np.linspace(lo, hi, grid_points)
+            if x is not None and _increasing(x):
                 y = kernels.kde_gaussian(values, x, h)
                 density = {"x": x.tolist(), "y": y.tolist(), "bandwidth": h}
-            elif h > 0 and bandwidth is not None:
-                raise ConfigError(
-                    f"{where}: bandwidth {bandwidth!r} puts the density grid beyond the"
-                    " float range; choose a smaller bandwidth"
+            elif h > 0:
+                fault = (
+                    "puts the density grid beyond the float range" if x is None
+                    else f"spaces the density grid's {grid_points} points closer than the floats"
+                    f" near {x[-1]:g}, so some coincide"
                 )
+                if bandwidth is None:
+                    warnings.append(Diagnostic(
+                        "warning", f"Silverman bandwidth {h!r} {fault}, density omitted", where))
+                else:
+                    fix = ("choose a smaller bandwidth" if x is None
+                           else f"{_grid_that_works(values, h, grid_points)} works")
+                    raise ConfigError(f"{where}: bandwidth {bandwidth!r} {fault}; {fix}")
             else:
-                reason = (
-                    "degenerate bandwidth (single-valued or singleton group)" if h == 0
-                    else f"Silverman bandwidth {h!r} puts the density grid beyond the float range"
-                )
-                warnings.append(Diagnostic("warning", f"{reason}, density omitted", where))
+                warnings.append(Diagnostic(
+                    "warning", "degenerate bandwidth (single-valued or singleton group),"
+                    " density omitted", where))
             groups.append(GroupPlot(label, int(values.size), counts.tolist(), density))
         components.append(ComponentPlot(cid, edges.tolist(), groups))
     metadata = {
@@ -210,6 +214,38 @@ def build_plotdata(
         "bandwidth": bandwidth if bandwidth is not None else "silverman",
     }
     return PlotData(metadata, components, warnings)
+
+
+def _density_grid(values: np.ndarray, h: float, points: int) -> np.ndarray | None:
+    """``points`` evenly spaced x values from _GRID_PAD bandwidths ``h`` below
+    the ascending ``values`` to as far above them; None when an end lies
+    beyond the float range."""
+    # Python floats: a grid end beyond the double range is inf, with no warning
+    lo, hi = float(values[0]) - _GRID_PAD * h, float(values[-1]) + _GRID_PAD * h
+    return np.linspace(lo, hi, points) if math.isfinite(hi - lo) else None
+
+
+def _increasing(x: np.ndarray) -> bool:
+    return bool(np.all(x[1:] > x[:-1]))
+
+
+def _grid_that_works(values: np.ndarray, h: float, points: int) -> str:
+    """A bandwidth above ``h``, or failing that fewer grid points than
+    ``points``, whose density grid for ``values`` strictly increases."""
+    # from about the least bandwidth that spreads the points a float apart
+    wider = max(2 * h, (points - 1) * math.ulp(values[-1]) / (2 * _GRID_PAD))
+    x = _density_grid(values, wider, points)
+    while x is not None:
+        if _increasing(x):
+            return f"a bandwidth of {wider!r}"
+        wider *= 2
+        x = _density_grid(values, wider, points)
+    # any wider grid passes the float maximum: keep h, and take fewer points
+    while points > 2:
+        points = max(2, points // 2)
+        if _increasing(_density_grid(values, h, points)):
+            return f"a grid of {points} points"
+    return "no grid near the float maximum"
 
 
 def to_json(plot: PlotData) -> str:

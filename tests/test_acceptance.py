@@ -12,6 +12,7 @@ unrounded aggregates. The check is kept at the stated tolerance rather
 than widened, so it fails honestly.
 """
 
+import itertools
 import json
 import time
 
@@ -131,22 +132,33 @@ class TestGoldenTables:
 
 def random_grouped(rng, max_groups=5, max_size=30, integers=True):
     n_groups = rng.integers(2, max_groups + 1)
+    # a fifth hold at most 3 integers: ties across groups, all scores equal or 0
+    top = 100 if rng.random() < 0.8 else int(rng.integers(0, 3))
     groups = {}
     for i in range(n_groups):
         size = int(rng.integers(1, max_size + 1))
         if integers:
-            scores = rng.integers(0, 101, size).astype(float)
+            scores = rng.integers(0, top + 1, size).astype(float)
         else:
             scores = rng.uniform(0, 100, size)
         groups[f"g{i}"] = scores
     return GroupedScores("q", groups)
 
+#: Each pair of the ends of the aggregates' range: 0, 1e-6 and 1e3.
+END_PAIRS = [np.array(p) for p in itertools.combinations_with_replacement([0.0, 1e-6, 1e3], 2)]
+
+def wide_values(rng, n):  # from 1e-6 to 1e3, even in magnitude; a quarter exactly 0
+    return 10.0 ** rng.uniform(-6, 3, n) * (rng.random(n) >= 0.25)
+
 def sweep_gc_scale_invariance(cases):
     rng = np.random.default_rng(101)
     failures = []
     for i in range(cases):
-        values = rng.uniform(0, 100, rng.integers(2, 11))
+        n = rng.integers(2, 11)
+        values = wide_values(rng, n) if i % 2 else rng.uniform(0, 100, n)
         c = 10.0 ** rng.uniform(-3, 3)
+        if i < 2 * len(END_PAIRS):  # first each pair of ends, scaled by each end of c
+            values, c = END_PAIRS[i // 2], (1e-3, 1e3)[i % 2]
         a, b = gini_coefficient(values), gini_coefficient(c * values)
         if abs(a - b) > 1e-12 * max(a, b, 1e-300):
             failures.append(f"case {i}: |{a!r} - {b!r}| beyond 1e-12 relative")
@@ -178,10 +190,11 @@ def sweep_scores_in_range(cases):
 def sweep_cubing_dominance(cases):
     rng = np.random.default_rng(104)
     failures = []
+    edges = [0.0, 1.0, 5e-324, 0.5, float(np.nextafter(1.0, 0.0))]
     for i in range(cases):
-        gc = float(rng.uniform(0, 1))
+        gc = edges[i] if i < len(edges) else float(rng.uniform(0, 1))
         plain, cubed = sqfr(gc), csqfr(gc)
-        ok = cubed <= plain and (cubed < plain or plain in (0.0, 1.0))
+        ok = cubed < plain if 0.0 < plain < 1.0 else cubed == plain
         if not ok:
             failures.append(f"case {i}: gc={gc} sqfr={plain} csqfr={cubed}")
     return failures
@@ -190,7 +203,8 @@ def sweep_equal_distributions(cases):
     rng = np.random.default_rng(105)
     failures = []
     for i in range(cases):
-        scores = rng.integers(0, 101, rng.integers(1, 41)).astype(float)
+        size = rng.integers(1, 41)
+        scores = rng.uniform(0, 100, size) if i % 2 else rng.integers(0, 101, size).astype(float)
         copies = int(rng.integers(2, 6))
         grouped = GroupedScores("q", {f"g{j}": scores.copy() for j in range(copies)})
         values = [s.value for s in evaluate_component(grouped)]
@@ -209,6 +223,8 @@ def sweep_discard_monotonicity(cases):
         for label, fr in discard_curve(grouped, ts).fractions.items():
             if np.any(np.diff(fr) < 0):
                 failures.append(f"case {i}: group {label} fractions not monotone")
+            if not np.all((fr >= 0) & (fr <= 1)):
+                failures.append(f"case {i}: group {label} fractions outside [0, 1]")
     return failures
 
 def sweep_interior_group_irrelevance(cases):
@@ -235,8 +251,12 @@ def sweep_gini_oracle(cases):
         if i % 3 == 2:
             # adversarial: near-equal cluster on a large base
             values = 1e4 + rng.uniform(0, 1e-4, n)
+        elif i % 3:
+            values = wide_values(rng, n)
         else:
             values = rng.uniform(0, 1000, n)
+        if i < len(END_PAIRS):
+            values = END_PAIRS[i]
         a, b = gini_coefficient(values), gini_literal(values)
         if abs(a - b) > 1e-12 * max(abs(a), abs(b), 1e-300):
             failures.append(f"case {i}: optimized {a!r} vs literal {b!r}")

@@ -215,6 +215,8 @@ class TestBadNumericParameters:
 
     NARROW = "group,component,score\nA,q,1\nA,q,2\nB,q,3\nB,q,5\n"
     WIDE = "group,component,score\nA,q,0\nA,q,1\nB,q,2\nB,q,1e12\n"
+    # floats 2 apart: 256 density points within 4 + 6 bandwidths coincide
+    NEAR_1E16 = "group,component,score\nA,q,1e16\nA,q,1.0000000000000004e16\nB,q,1e16\n"
 
     @pytest.mark.parametrize("argv, data", [
         (["eval", "--threshold-step", "nan"], NARROW),
@@ -229,6 +231,7 @@ class TestBadNumericParameters:
         (["eval"], WIDE),
         (["plotdata", "--bandwidth", "1e-320"], NARROW),
         (["plotdata", "--bandwidth", "1e308"], NARROW),
+        (["plotdata", "--bin-width", "4", "--bandwidth", "1"], NEAR_1E16),
         (["eval", "--measures", "mean-gc-sqfr", "--threshold-step", "nan"], NARROW),
         # rejected before the input is read: no file exists
         (["eval", "--threshold-step", "-1"], None),

@@ -459,28 +459,40 @@ class TestMdg:
 
 #: Components that stress the observed sweep's block merge, from a seeded
 #: generator: ties longer than a block, few distinct values, a group of one
-#: score, many small groups and groups whose ranges do not meet.
+#: score, many small groups and groups whose ranges do not meet. ``part``
+#: divides every count but the single score's.
 MERGE_SHAPES = {
-    "one-value-tied-across-2x250000": lambda rng: {
-        label: np.concatenate((np.full(250_000, 7.0), rng.uniform(0, 14, 3_000 + 700 * i)))
+    "one-value-tied-across-2x250000": lambda rng, part=1: {
+        label: np.concatenate(
+            (np.full(250_000 // part, 7.0), rng.uniform(0, 14, (3_000 + 700 * i) // part)))
         for i, label in enumerate("AB")
     },
-    "two-values": lambda rng: {
-        "A": np.repeat([1.0, 2.0], [150_000, 100_000]),
-        "B": np.repeat([1.0, 2.0], [40_000, 210_000]),
+    "two-values": lambda rng, part=1: {
+        "A": np.repeat([1.0, 2.0], [150_000 // part, 100_000 // part]),
+        "B": np.repeat([1.0, 2.0], [40_000 // part, 210_000 // part]),
     },
-    "1-score-against-499999": lambda rng: {
-        "A": rng.uniform(0, 100, 1), "B": rng.uniform(0, 100, 499_999)
+    "1-score-against-499999": lambda rng, part=1: {
+        "A": rng.uniform(0, 100, 1), "B": rng.uniform(0, 100, 499_999 // part)
     },
     # scores on a grid of 0.5, so that the oracle's discard curve holds
     # 10,000 x 200 fractions, not 10,000 x 5e5
-    "10000-groups-of-50": lambda rng: {
-        f"g{i}": rng.integers(0, 200, 50) / 2 for i in range(10_000)
+    "10000-groups-of-50": lambda rng, part=1: {
+        f"g{i}": rng.integers(0, 200, 50) / 2 for i in range(10_000 // part)
     },
-    "groups-that-do-not-overlap": lambda rng: {
-        f"g{i}": rng.uniform(10 * i, 10 * i + 9, 40_000) for i in range(5)
+    "groups-that-do-not-overlap": lambda rng, part=1: {
+        f"g{i}": rng.uniform(10 * i, 10 * i + 9, 40_000 // part) for i in range(5)
     },
 }
+
+
+def observed_sweep_peak(gs):
+    """tracemalloc's peak while ``mdg_sqfr`` sweeps the observed thresholds of ``gs``."""
+    tracemalloc.start()
+    try:
+        mdg_sqfr(gs, thresholds_mode="observed")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestMdgSqfr:
@@ -508,13 +520,7 @@ class TestMdgSqfr:
         rng = np.random.default_rng(7)
         gs = grouped({f"g{i}": rng.random(100_000) * 100 for i in range(5)}).validated()
         threshold_bytes = observed_thresholds(gs).nbytes
-        tracemalloc.start()
-        try:
-            mdg_sqfr(gs, thresholds_mode="observed")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < threshold_bytes + 6 * 8 * 4 * measures._SWEEP_BLOCK
+        assert observed_sweep_peak(gs) < threshold_bytes + 6 * 8 * 4 * measures._SWEEP_BLOCK
 
     def test_observed_sweep_holds_no_more_for_more_groups(self):
         # as many scores in 100 groups: the sweep's arrays grow with the
@@ -522,28 +528,27 @@ class TestMdgSqfr:
         rng = np.random.default_rng(7)
         gs = grouped({f"g{i}": rng.random(5_000) * 100 for i in range(100)}).validated()
         threshold_bytes = observed_thresholds(gs).nbytes
-        tracemalloc.start()
-        try:
-            mdg_sqfr(gs, thresholds_mode="observed")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < threshold_bytes + 6 * 8 * 4 * measures._SWEEP_BLOCK
+        assert observed_sweep_peak(gs) < threshold_bytes + 6 * 8 * 4 * measures._SWEEP_BLOCK
 
-    @pytest.mark.parametrize("block", [measures._SWEEP_BLOCK, 1, 7])
+    # _envelope_gaps merges max(4 * _SWEEP_BLOCK, 16 * groups) scores a block,
+    # and groups >= 2: so block 1 runs the path that blocks 2 and 7 run
+    @pytest.mark.parametrize("block", [measures._SWEEP_BLOCK, 1])
     @pytest.mark.parametrize("shape", sorted(MERGE_SHAPES))
     def test_observed_sweep_merges_stress_shapes_bit_for_bit(self, shape, block):
         gs = grouped(MERGE_SHAPES[shape](np.random.default_rng(25))).validated()
         ts = observed_thresholds(gs)
         want = 1.0 - mdg(discard_curve(gs, ts)) if ts.size else 1.0
         with mock.patch.object(measures, "_SWEEP_BLOCK", block):
-            tracemalloc.start()
-            try:
-                got = mdg_sqfr(gs, thresholds_mode="observed").value
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            got = mdg_sqfr(gs, thresholds_mode="observed").value
         assert got == want  # exactly, not approximately
+
+    # traced, block 1 runs about 11x slower, so it takes a tenth of each shape
+    @pytest.mark.parametrize("block, part", [(measures._SWEEP_BLOCK, 1), (1, 10)])
+    @pytest.mark.parametrize("shape", sorted(MERGE_SHAPES))
+    def test_observed_sweep_peak_under_21_bytes_per_score(self, shape, block, part):
+        gs = grouped(MERGE_SHAPES[shape](np.random.default_rng(25), part)).validated()
+        with mock.patch.object(measures, "_SWEEP_BLOCK", block):
+            peak = observed_sweep_peak(gs)
         # the sweep that sorted the whole pool held it, its int64 argsort,
         # an int32 copy of that and one flag: over 21 bytes per score
         assert peak <= 21 * sum(g.size for g in gs.groups.values())
@@ -686,6 +691,16 @@ class TestDominanceCounterexamples:
             got.append(score.value)
         assert got == pytest.approx(list(rates), rel=1e-12)
         assert got[1] > got[0]
+
+
+def test_listing_every_group_twice_moves_only_the_gini_family():
+    # the Gini's n/(n - 1) bias correction depends on the number of groups
+    two = {"A": [70, 80, 90, 60], "B": [75, 85, 95, 65]}
+    rates = [{s.measure: round(s.value, 4) for s in evaluate_component(grouped(gs))}
+             for gs in (two, {**two, "A2": two["A"], "B2": two["B"]})]
+    assert [r["mean_gc_sqfr"] for r in rates] == [0.9677, 0.9785]
+    assert [r["lwm_gc_csqfr"] for r in rates] == [0.939, 0.959]
+    assert [r["mdg_sqfr"] for r in rates] == [0.8571, 0.8571]
 
 
 class TestFairnessScoreType:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -159,6 +160,37 @@ class TestBuild:
         with pytest.raises(ConfigError, match="group 'A': bandwidth 1e\\+308 puts the density grid"):
             build_plotdata(ds, bin_width=1e302, bandwidth=1e308)
         assert len(recwarn) == 0
+
+    # floats near 1e16 lie 2 apart, and each group spans at most 4
+    NEAR_1E16 = {"A": [1e16, 1.0000000000000004e16], "B": [1e16, 1.0000000000000002e16]}
+
+    def test_silverman_grid_finer_than_the_float_spacing_omits_the_density(self, recwarn):
+        ds = make_dataset(self.NEAR_1E16)
+        plot = build_plotdata(ds, bin_width=4)
+        assert [g.density for g in plot.components[0].groups] == [None, None]
+        assert [str(w) for w in plot.warnings] == [
+            f"component 'q' group '{label}': Silverman bandwidth {silverman_bandwidth(g)!r} spaces"
+            " the density grid's 256 points closer than the floats near 1e+16, so some coincide,"
+            " density omitted" for label, g in ds.components["q"].groups.items()]
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("groups, options", [
+        (NEAR_1E16, {"bin_width": 4, "bandwidth": 1.0, "grid_points": 256}),
+        (NEAR_1E16, {"bin_width": 4, "bandwidth": 1e-300, "grid_points": 1_000_000}),
+        # a wider grid would pass the float maximum: fewer points it is
+        ({label: [np.nextafter(sys.float_info.max, 0), sys.float_info.max] for label in "AB"},
+         {"bin_width": 2.0**971, "bandwidth": 1e280, "grid_points": 256}),
+    ], ids=["1e16", "1e16-tiny-bandwidth", "float-maximum"])
+    def test_given_grid_finer_than_the_float_spacing_names_one_that_works(self, groups, options):
+        ds = make_dataset(groups)
+        with pytest.raises(ConfigError, match="group 'A': bandwidth .* so some coincide") as info:
+            build_plotdata(ds, **options)
+        # "a bandwidth of <h> works" or "a grid of <n> points works"
+        _, name, _, value, *_ = str(info.value).rsplit("; ", 1)[1].split()
+        named = {"bandwidth": float(value)} if name == "bandwidth" else {"grid_points": int(value)}
+        options = {**options, **named}
+        x = np.array(build_plotdata(ds, **options).components[0].groups[0].density["x"])
+        assert x.size == options["grid_points"] and np.all(x[1:] > x[:-1])
 
     def test_parameter_validation(self):
         ds = make_dataset({"A": [1.0], "B": [2.0]})

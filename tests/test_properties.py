@@ -11,7 +11,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from sqfr import (
     GroupedScores,
-    csqfr,
     discard_curve,
     evaluate_component,
     gini_coefficient,
@@ -24,12 +23,11 @@ from sqfr import (
     median_aggregate,
     observed_thresholds,
     relevant_thresholds,
-    sqfr,
 )
 
 from sqfr.plotdata import _quartiles, silverman_bandwidth
 
-from oracles import discard_recount, gini_exact, gini_literal, mdg_recount, unique_kde
+from oracles import discard_recount, gini_exact, mdg_recount, unique_kde
 
 # zero or comfortably normal floats: scaling by c in [1e-3, 1e3] must not
 # underflow the inputs themselves
@@ -71,17 +69,6 @@ def grouped_strategy(max_groups=5, max_size=30, integers=False):
 
 
 class TestGiniProperties:
-    @given(aggregate_values)
-    @settings(max_examples=300)
-    def test_matches_literal_double_loop(self, values):
-        assert gini_coefficient(values) == pytest.approx(gini_literal(values), rel=1e-12, abs=1e-15)
-
-    @given(aggregate_values, st.floats(min_value=1e-3, max_value=1e3))
-    @settings(max_examples=300)
-    def test_scale_invariance(self, values, c):
-        scaled = [c * v for v in values]
-        assert gini_coefficient(scaled) == pytest.approx(gini_coefficient(values), rel=1e-12, abs=1e-15)
-
     @given(aggregate_values, st.floats(min_value=0.1, max_value=500.0))
     @settings(max_examples=300)
     def test_translation_strictly_decreases(self, values, shift):
@@ -155,41 +142,7 @@ class TestExtremeMagnitudes:
             assert 0.0 <= score.value <= 1.0
 
 
-class TestRateProperties:
-    @given(st.floats(min_value=0.0, max_value=1.0))
-    def test_cubing_dominance(self, gc):
-        plain, cubed = sqfr(gc), csqfr(gc)
-        assert cubed <= plain
-        if 0.0 < plain < 1.0:
-            assert cubed < plain
-        else:
-            assert cubed == plain
-
-
 class TestMeasureProperties:
-    @given(grouped_strategy())
-    @settings(max_examples=150, deadline=None)
-    def test_all_measures_in_unit_interval(self, grouped):
-        for score in evaluate_component(grouped):
-            assert 0.0 <= score.value <= 1.0
-
-    @given(grouped_strategy(), st.randoms(use_true_random=False))
-    @settings(max_examples=150, deadline=None)
-    def test_group_permutation_invariance(self, grouped, rnd):
-        labels = list(grouped.groups)
-        rnd.shuffle(labels)
-        permuted = GroupedScores(grouped.component_id, {l: grouped.groups[l] for l in labels})
-        original = {s.measure: s.value for s in evaluate_component(grouped)}
-        shuffled = {s.measure: s.value for s in evaluate_component(permuted)}
-        assert original == shuffled
-
-    @given(grouped_strategy(max_groups=4, max_size=15), st.integers(min_value=2, max_value=5))
-    @settings(max_examples=100, deadline=None)
-    def test_equal_distributions_are_perfectly_fair(self, grouped, copies):
-        scores = grouped.groups["g0"]
-        equal = GroupedScores("q", {f"g{i}": scores.copy() for i in range(copies)})
-        assert all(s.value == 1.0 for s in evaluate_component(equal))
-
     @given(grouped_strategy(integers=True))
     @settings(max_examples=150, deadline=None)
     def test_lwm_within_each_groups_range(self, grouped):
@@ -237,23 +190,6 @@ class TestScoreOrderIndependence:
 
 
 class TestDiscardProperties:
-    @given(grouped_strategy(integers=True))
-    @settings(max_examples=150, deadline=None)
-    def test_fractions_monotone_in_threshold(self, grouped):
-        ts = relevant_thresholds(grouped)
-        assume(ts.size > 0)
-        for fr in discard_curve(grouped, ts).fractions.values():
-            assert np.all(np.diff(fr) >= 0)
-            assert np.all((fr >= 0) & (fr <= 1))
-
-    @given(grouped_strategy(max_groups=3, integers=True))
-    @settings(max_examples=150, deadline=None)
-    def test_mdg_matches_recount(self, grouped):
-        ts = relevant_thresholds(grouped)
-        assume(ts.size > 0)
-        got = mdg(discard_curve(grouped, ts))
-        assert got == pytest.approx(mdg_recount(grouped, ts), rel=1e-12, abs=1e-15)
-
     @given(st.one_of(grouped_strategy(max_groups=4), grouped_strategy(max_groups=4, integers=True)))
     @example(GroupedScores("q", {"A": [3.0], "B": [1.0, 2.0, 3.0, 3.0, 5.0], "C": [0.5, 3.0]}))
     @settings(max_examples=300, deadline=None)
@@ -311,7 +247,9 @@ class TestDiscardProperties:
         assert got == 1.0 - mdg(discard_curve(grouped, ts))  # exactly, not approximately
         assert got == pytest.approx(1.0 - mdg_recount(grouped, ts), rel=1e-12, abs=1e-15)
 
-    @pytest.mark.parametrize("block", [1, 2, 7, measures._SWEEP_BLOCK])
+    # the observed sweep merges max(4 * block, 16 * groups) scores a block,
+    # so blocks 1, 2 and 7 run one path; here and in the next test
+    @pytest.mark.parametrize("block", [1, measures._SWEEP_BLOCK])
     @given(
         st.one_of(
             grouped_strategy(max_groups=4),
@@ -347,7 +285,7 @@ class TestDiscardProperties:
             got = mdg_sqfr(grouped, thresholds_mode="observed").value
         assert got == want  # exactly, not approximately
 
-    @pytest.mark.parametrize("block", [1, 2, 7, measures._SWEEP_BLOCK])
+    @pytest.mark.parametrize("block", [1, measures._SWEEP_BLOCK])
     @given(
         st.lists(
             st.one_of(
@@ -389,16 +327,6 @@ class TestDiscardProperties:
                 mock.patch.object(measures, "_MERGE_GROUP_SCORES", 2):
             got = mdg_sqfr(grouped, thresholds_mode="observed").value
         assert got == want  # exactly, not approximately
-
-    @given(grouped_strategy(max_groups=2, integers=True))
-    @settings(max_examples=150, deadline=None)
-    def test_pooled_interior_group_never_changes_mdg(self, grouped):
-        ts = relevant_thresholds(grouped)
-        assume(ts.size > 0)
-        labels = list(grouped.groups)
-        pooled = np.concatenate([grouped.groups[l] for l in labels])
-        widened = GroupedScores("q", {**grouped.groups, "interior": pooled})
-        assert mdg(discard_curve(widened, ts)) == mdg(discard_curve(grouped, ts))
 
     @given(grouped_strategy(integers=True), st.floats(min_value=0.25, max_value=3.0))
     @settings(max_examples=150, deadline=None)
