@@ -17,6 +17,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from sqfr import (
     GroupSpec,
@@ -276,31 +277,34 @@ def sweep_mdg_oracle(cases):
             failures.append(f"case {i}: {got!r} vs recount {want!r}")
     return failures
 
+SWEEPS = [
+    ("gc scale invariance", sweep_gc_scale_invariance),
+    ("group permutation invariance", sweep_permutation_invariance),
+    ("scores in [0, 1]", sweep_scores_in_range),
+    ("csqfr <= sqfr", sweep_cubing_dominance),
+    ("equal distributions are fair", sweep_equal_distributions),
+    ("discard monotonicity", sweep_discard_monotonicity),
+    ("interior groups never change mdg", sweep_interior_group_irrelevance),
+    ("gini optimized vs literal", sweep_gini_oracle),
+    ("mdg vs brute-force recount", sweep_mdg_oracle),
+]
+
 class TestRandomizedSweeps:
     CASES = 1000
+    BUDGET_S = 60 / len(SWEEPS)  # the nine together within 60 s
 
-    def test_property_suite(self):
-        sweeps = [
-            ("gc scale invariance", sweep_gc_scale_invariance),
-            ("group permutation invariance", sweep_permutation_invariance),
-            ("scores in [0, 1]", sweep_scores_in_range),
-            ("csqfr <= sqfr", sweep_cubing_dominance),
-            ("equal distributions are fair", sweep_equal_distributions),
-            ("discard monotonicity", sweep_discard_monotonicity),
-            ("interior groups never change mdg", sweep_interior_group_irrelevance),
-            ("gini optimized vs literal", sweep_gini_oracle),
-            ("mdg vs brute-force recount", sweep_mdg_oracle),
-        ]
-        failures = []
+    @pytest.mark.parametrize(
+        "name, sweep", SWEEPS, ids=[sweep.__name__.removeprefix("sweep_") for _, sweep in SWEEPS]
+    )
+    def test_invariant_sweep(self, name, sweep):
         started = time.perf_counter()
-        for name, sweep in sweeps:
-            problems = sweep(self.CASES)
-            print(f"    property '{name}': {self.CASES} cases, {len(problems)} failures")
-            failures.extend(f"{name}: {p}" for p in problems[:3])
+        problems = sweep(self.CASES)
         elapsed = time.perf_counter() - started
-        if elapsed >= 60:
-            failures.append(f"sweeps took {elapsed:.1f}s, budget is 60s")
-        report_line(f"randomized invariant sweeps ({elapsed:.1f}s)", failures)
+        print(f"    property '{name}': {self.CASES} cases, {len(problems)} failures")
+        failures = problems[:3]
+        if elapsed >= self.BUDGET_S:
+            failures.append(f"sweep took {elapsed:.1f}s, budget is {self.BUDGET_S:.1f}s")
+        report_line(f"randomized sweep '{name}' ({elapsed:.2f}s)", failures)
 
 class TestPipeline:
     N_COMPONENTS = 10
