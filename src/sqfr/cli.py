@@ -18,11 +18,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, dataset as dataset_io, plotdata, report, scenarios
 from .errors import ConfigError, DomainError, ParseError, ValidationError
-from .measures import THRESHOLD_MODES, _median, _scale_free, check_sweep
+from .measures import THRESHOLD_MODES, check_sweep, group_mean, group_median
+from .types import sort_scores
 
 
 #: The flags only CSV input takes, by the ``load_csv`` parameter each sets.
@@ -178,15 +177,14 @@ def _cmd_simulate(args) -> int:
 
 def _summarized(groups, lines: list[str]):
     """The ``(label, samples)`` pairs of ``groups``, passed on one at a time.
-    When the next is asked for, the one passed on before is summarized in a
-    line appended to ``lines``: its mean, in draw order, and its median,
-    read off the group sorted in place."""
+    When the next is asked for, the one passed on before is sorted in place
+    by ``sort_scores`` and summarized in a line appended to ``lines``: its
+    mean and median, as ``sqfr eval`` reports them for the file written."""
     for label, values in groups:
         yield label, values
-        mean = _scale_free(np.mean, values)
-        values.sort()
-        median = _scale_free(_median, values)
-        lines.append(f"{label:<6} {values.size:<6d} {mean:<8.3f} {median:<8.3f}")
+        sort_scores(values)
+        lines.append(f"{label:<6} {values.size:<6d} {group_mean(values):<8.3f}"
+                     f" {group_median(values):<8.3f}")
         del values  # let the group go before the next is drawn
 
 

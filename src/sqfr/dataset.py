@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import ConfigError, ParseError, ValidationError
 from .kernels import _distinct
-from .types import GroupedScores
+from .types import GroupedScores, score_array
 
 _FORBIDDEN_LABEL_CHARS = ('"', "\n", "\r")
 
@@ -511,14 +511,22 @@ def validate(dataset: Dataset) -> list[Diagnostic]:
 
 def _as_components(data) -> list:
     """(component id, (label, scores) pairs) for each component of ``data``,
-    the form the write loops take. A component given as pairs is passed on
-    as it is, so groups drawn one at a time stay one at a time."""
+    the form the write loops take, each group's scores a float64 array
+    (``score_array``). Pairs are converted as they are asked for, so groups
+    drawn one at a time stay one at a time."""
     if isinstance(data, Dataset):
         data = data.components
     elif isinstance(data, GroupedScores):
         data = {data.component_id: data}
-    return [(cid, groups.groups.items() if isinstance(groups, GroupedScores) else groups)
+    return [(cid, _score_arrays(groups.groups.items() if isinstance(groups, GroupedScores)
+                                else groups))
             for cid, groups in dict(data).items()]
+
+
+def _score_arrays(groups):
+    for label, scores in groups:
+        yield label, score_array(scores)
+        del scores  # let a drawn group go before the next is asked for
 
 
 def dumps_csv(data) -> str:
@@ -548,9 +556,11 @@ def save(data, path) -> None:
     spells it, with one score per line, or CSV.
 
     ``data`` is a Dataset, a GroupedScores, or a mapping from component id
-    to a GroupedScores or an iterable of ``(label, scores)`` pairs. Each
-    group is written before the next is taken, and the writer keeps no
-    reference to it, so groups drawn one at a time are held one at a time.
+    to a GroupedScores or an iterable of ``(label, scores)`` pairs, whose
+    scores may be any array-like, converted to float64 as GroupedScores
+    converts them. Each group is written before the next is taken, and the
+    writer keeps no reference to it, so groups drawn one at a time are held
+    one at a time.
     Like ``json.dump``, a save that fails part way (TypeError for a key
     JSON cannot spell, or OSError) may leave a partial file.
     """

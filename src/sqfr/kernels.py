@@ -102,11 +102,17 @@ def _distinct(a: np.ndarray, inverse: bool = False) -> tuple[np.ndarray, np.ndar
     each occurs; with ``inverse``, in place of the counts, the index into
     the values of each element of ``a``. Elements that compare equal are
     one value (a float -0.0 and 0.0 are one). That is ``np.unique(a,
-    return_counts=not inverse, return_inverse=inverse)``, whose first call
-    imports ``numpy.ma``.
+    return_counts=not inverse, return_inverse=inverse)``.
 
     Without ``inverse`` an ascending ``a`` is read as it is and any other
     is sorted into a copy; with it, ``a`` is gathered through its argsort.
+    ``np.unique`` is not called, for two reasons. The observed sweep's cuts
+    and ``observed_thresholds`` need only the values, which a bare
+    ``np.unique(a)`` gives, but on numpy 2.4.6 its first call imports
+    ``numpy.ma`` (a call asking for counts, index or inverse does not). And
+    the ascending input is not sorted again: on a sorted group of 10**4
+    quantized scores this takes 19.8 us, against 38.9 us for
+    ``np.unique(a, return_counts=True)`` (2-vCPU Xeon).
     """
     if inverse:
         order = np.argsort(a)

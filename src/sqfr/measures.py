@@ -27,7 +27,7 @@ from .types import (
     GroupAggregates,
     GroupedScores,
     as_value_array,
-    is_finite_number,
+    check_finite_positive,
 )
 
 THRESHOLD_MODES = ("sequence", "observed")
@@ -55,15 +55,23 @@ _MERGE_GROUP_SCORES = 16
 def mean_aggregate(scores: GroupedScores) -> GroupAggregates:
     """Arithmetic mean of each group's scores."""
     scores = scores.validated()
-    values = {label: _within(_scale_free(np.mean, g), g) for label, g in scores.groups.items()}
-    return GroupAggregates("mean", values)
+    return GroupAggregates("mean", {label: group_mean(g) for label, g in scores.groups.items()})
 
 
 def median_aggregate(scores: GroupedScores) -> GroupAggregates:
     """Median of each group's scores (even counts: mean of the middle two)."""
     scores = scores.validated()
-    values = {label: _scale_free(_median, g) for label, g in scores.groups.items()}
-    return GroupAggregates("median", values)
+    return GroupAggregates("median", {label: group_median(g) for label, g in scores.groups.items()})
+
+
+def group_mean(g: np.ndarray) -> float:
+    """The mean of one ascending group, as :func:`mean_aggregate` takes it."""
+    return _within(_scale_free(np.mean, g), g)
+
+
+def group_median(g: np.ndarray) -> float:
+    """The median of one ascending group, as :func:`median_aggregate` takes it."""
+    return _scale_free(_median, g)
 
 
 def _median(g: np.ndarray) -> float:
@@ -193,7 +201,7 @@ def relevant_thresholds(scores: GroupedScores, step: float = 1.0) -> np.ndarray:
     appended when the span is not a whole number of steps. Empty when all
     scores are equal.
     """
-    _check_step(step)
+    check_finite_positive("threshold step", step, DomainError)
     scores = scores.validated()
     lo, hi = scores.pooled_range()
     span = hi - lo
@@ -470,10 +478,5 @@ def check_sweep(step: float, mode: str) -> None:
     A report records both, whether or not it sweeps."""
     if mode not in THRESHOLD_MODES:
         raise DomainError(f"unknown thresholds mode {mode!r}; expected one of {THRESHOLD_MODES}")
-    _check_step(step)
-
-
-def _check_step(step: float) -> None:
-    if not (is_finite_number(step) and step > 0):
-        raise DomainError(f"threshold step must be finite and positive, got {step!r}")
+    check_finite_positive("threshold step", step, DomainError)
 

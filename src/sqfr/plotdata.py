@@ -26,7 +26,7 @@ from . import __version__, kernels
 from .dataset import Dataset, Diagnostic
 from .errors import ConfigError
 from .measures import MAX_THRESHOLDS, _scale_free
-from .types import is_finite_number, is_int
+from .types import check_finite_positive, is_int
 
 FORMATS = ("json", "csv")
 
@@ -87,13 +87,21 @@ def histogram_edges(lo: float, hi: float, bin_width: float = 1.0) -> np.ndarray:
     """Integer-aligned bin edges of the given width covering [lo, hi], in at
     most ``MAX_THRESHOLDS`` bins. ConfigError when two edges round to one
     float, as a width below the float spacing of the scores makes them,
-    naming a width whose edges strictly increase."""
-    _check_finite_positive("bin width", bin_width)
+    naming a width whose edges strictly increase, and when the last edge
+    lies beyond the float range."""
+    check_finite_positive("bin width", bin_width, ConfigError)
     width = bin_width
     edges = _edges(lo, hi, width)
-    while not np.all(edges[1:] > edges[:-1]):
+    while edges is not None and not _increasing(edges):
         width = max(2 * width, math.ulp(hi))
         edges = _edges(lo, hi, width)
+    if edges is None:
+        raise ConfigError(
+            f"bin width {bin_width:g} puts the last histogram edge beyond the float range"
+            f" (scores up to {hi:g})" if width == bin_width else
+            f"bin width {bin_width:g} is finer than the float spacing of scores near {hi:g},"
+            " and no wider bin width tried keeps the last edge within the float range"
+        )
     if width != bin_width:
         raise ConfigError(
             f"bin width {bin_width:g} is finer than the float spacing of scores near {hi:g},"
@@ -102,7 +110,9 @@ def histogram_edges(lo: float, hi: float, bin_width: float = 1.0) -> np.ndarray:
     return edges
 
 
-def _edges(lo: float, hi: float, bin_width: float) -> np.ndarray:
+def _edges(lo: float, hi: float, bin_width: float) -> np.ndarray | None:
+    """The bin edges from ``floor(lo)`` past ``hi``; None when the last lies
+    beyond the float range."""
     start = math.floor(lo)
     span = hi - start
     bins = span / bin_width - 1e-9
@@ -111,12 +121,11 @@ def _edges(lo: float, hi: float, bin_width: float) -> np.ndarray:
             f"histogram would need more than {MAX_THRESHOLDS} bins (span {span:g},"
             f" bin width {bin_width:g}); raise the bin width above {span / MAX_THRESHOLDS:g}"
         )
-    return start + bin_width * np.arange(max(1, math.ceil(bins)) + 1)
-
-
-def _check_finite_positive(name: str, value: float) -> None:
-    if not (is_finite_number(value) and value > 0):  # a bool is not a number here
-        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+    count = max(1, math.ceil(bins))
+    # Python floats: a last edge beyond the double range is inf, with no warning
+    if not math.isfinite(start + bin_width * count):
+        return None
+    return start + bin_width * np.arange(count + 1)
 
 
 @dataclass
@@ -149,9 +158,9 @@ def check_options(bin_width: float, grid_points: int, bandwidth: float | None) -
         raise ConfigError(f"grid_points must be an integer, got {grid_points!r}")
     if not 2 <= grid_points <= MAX_THRESHOLDS:
         raise ConfigError(f"grid_points must be >= 2 and <= {MAX_THRESHOLDS}, got {grid_points}")
-    _check_finite_positive("bin width", bin_width)
+    check_finite_positive("bin width", bin_width, ConfigError)
     if bandwidth is not None:
-        _check_finite_positive("bandwidth", bandwidth)
+        check_finite_positive("bandwidth", bandwidth, ConfigError)
         if bandwidth < sys.float_info.min:
             raise ConfigError(
                 f"bandwidth must be at least {sys.float_info.min!r}"

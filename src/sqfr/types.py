@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SqfrError, ValidationError
 
 #: Canonical keys of the six fairness measures, in report order. The CLI
 #: spells them with hyphens instead of underscores.
@@ -46,10 +46,7 @@ class GroupedScores:
     groups: dict[str, np.ndarray]
 
     def __post_init__(self):
-        self.groups = {
-            label: np.asarray(scores, dtype=np.float64).reshape(-1)
-            for label, scores in self.groups.items()
-        }
+        self.groups = {label: score_array(scores) for label, scores in self.groups.items()}
 
     def problems(self) -> list[str]:
         """Invariant violations as human-readable messages (empty when valid)."""
@@ -114,20 +111,39 @@ class _ValidatedScores(GroupedScores):
         return min(float(g[0]) for g in groups), max(float(g[-1]) for g in groups)
 
 
-def _canonical(scores) -> np.ndarray:
-    """One group as a read-only float64 array: a view if ascending, else a sorted copy.
+def score_array(scores) -> np.ndarray:
+    """One group's scores, any array-like, as a 1-d float64 array: the
+    array itself, or a view of it, when it already holds float64 values."""
+    return np.asarray(scores, dtype=np.float64).reshape(-1)
 
-    A group holding a -0 is sorted by index instead, with every -0 before
-    every 0: they compare equal, and ``np.sort`` may change a zero's sign.
-    """
-    g = np.asarray(scores, dtype=np.float64).reshape(-1)
+
+def _canonical(scores) -> np.ndarray:
+    """One group as a read-only float64 array: a view if ascending, else a
+    sorted copy. A group holding a -0 is sorted by :func:`sort_scores`."""
+    g = score_array(scores)
     out = np.sort(g) if np.any(g[1:] < g[:-1]) else g.view()
     # scores are non-negative, so only a group whose least score is a zero
     # can hold a -0, and any sign bit in it is one
     if out.size and out[0] == 0.0 and np.signbit(g).any():
-        out = g[np.lexsort((~np.signbit(g), g))]
+        out = g.copy()
+        sort_scores(out)
     out.flags.writeable = False
     return out
+
+
+def sort_scores(g: np.ndarray) -> None:
+    """Sort the writable float64 array ``g`` of non-negative scores in place
+    into the canonical order of a group: ascending, with every -0 before
+    every 0. They compare equal, and ``np.sort`` may change a zero's sign,
+    so the -0s are counted before the sort and the zeros written after it.
+    """
+    # the scores are non-negative, so each sign bit is a -0's
+    negative = np.count_nonzero(np.signbit(g)) if g.size and g.min() == 0.0 else 0
+    g.sort()
+    if negative:
+        zeros = g[:np.searchsorted(g, 0.0, side="right")]
+        zeros[:negative] = -0.0
+        zeros[negative:] = 0.0
 
 
 @dataclass
@@ -189,3 +205,10 @@ def is_finite_number(value) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     return abs(value) <= sys.float_info.max  # false for nan
+
+
+def check_finite_positive(name: str, value, error: type[SqfrError]) -> None:
+    """Raise ``error`` unless ``value`` is a finite positive int or float (a
+    bool is not a number here), naming the option ``name``."""
+    if not (is_finite_number(value) and value > 0):
+        raise error(f"{name} must be finite and positive, got {value!r}")

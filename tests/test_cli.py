@@ -38,6 +38,22 @@ def child_env(**extra):
     return dict(os.environ, PYTHONPATH=path, **extra)
 
 
+def summary_texts(out):
+    """label -> (count, mean, median) as the summary of ``sqfr simulate`` prints them."""
+    return {label: tuple(rest) for label, *rest in map(str.split, out.splitlines()[2:])}
+
+
+def eval_group_texts(path, capsys):
+    """label -> (count, mean, median) as the markdown report of ``sqfr eval``
+    on ``path`` prints them, at the summary's three decimals."""
+    assert main(["eval", "--input", str(path), "--format", "markdown",
+                 "--thresholds", "observed"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("| group | count | mean | median | lwm |") + 2
+    rows = [line.strip("| ").split(" | ") for line in lines[start:lines.index("", start)]]
+    return {label: (count, mean, median) for label, count, mean, median, _ in rows}
+
+
 @pytest.fixture
 def q2_csv(tmp_path):
     path = tmp_path / "q2.csv"
@@ -217,6 +233,9 @@ class TestBadNumericParameters:
     WIDE = "group,component,score\nA,q,0\nA,q,1\nB,q,2\nB,q,1e12\n"
     # floats 2 apart: 256 density points within 4 + 6 bandwidths coincide
     NEAR_1E16 = "group,component,score\nA,q,1e16\nA,q,1.0000000000000004e16\nB,q,1e16\n"
+    # the last bin edge, a bin width above the pooled maximum, would overflow
+    FLOAT_MAX = ("group,component,score\nA,q,1.7976931348623157e308\n"
+                 "B,q,1.7976931348623157e308\nB,q,1.7976931348623155e308\n")
 
     @pytest.mark.parametrize("argv, data", [
         (["eval", "--threshold-step", "nan"], NARROW),
@@ -232,6 +251,7 @@ class TestBadNumericParameters:
         (["plotdata", "--bandwidth", "1e-320"], NARROW),
         (["plotdata", "--bandwidth", "1e308"], NARROW),
         (["plotdata", "--bin-width", "4", "--bandwidth", "1"], NEAR_1E16),
+        (["plotdata", "--bin-width", "1e300", "--format", "json"], FLOAT_MAX),
         (["eval", "--measures", "mean-gc-sqfr", "--threshold-step", "nan"], NARROW),
         # rejected before the input is read: no file exists
         (["eval", "--threshold-step", "-1"], None),
@@ -398,41 +418,55 @@ class TestSimulate:
         }))
         out = tmp_path / "x.csv"
         assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 0
-        rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
-        summary = {label: (float(mean), float(median)) for label, _, mean, median in rows}
+        summary = summary_texts(capsys.readouterr().out)
         c = np.array([float(line.split(",")[2]) for line in out.read_text().splitlines()
                       if line.startswith("huge,C,")])
         assert 0 < np.count_nonzero(c == 1.0) < c.size  # both modes drawn
-        assert summary == {
-            "A": (1.6e308, 1.6e308),
-            "B": (1.6e308, 1.6e308),
-            "C": (float(np.mean(c / 1.6e308)) * 1.6e308, float(np.median(c / 1.6e308)) * 1.6e308),
-        }
+        big = f"{1.6e308:.3f}"
+        assert (summary["A"], summary["B"]) == (("4", big, big), ("2", big, big))
+        assert summary == eval_group_texts(out, capsys)
 
-    def test_summary_gives_numpys_mean_and_median(self, tmp_path, capsys):
+    MIX = {"means": [60, 85], "stddevs": [4, 2], "weights": [0.5, 0.5]}
+
+    @pytest.mark.parametrize("doc", [
         # odd and even counts, unquantized, so an even count's median, the
         # mean of its two middle values, is neither of them
-        mix = {"means": [60, 85], "stddevs": [4, 2], "weights": [0.5, 0.5]}
-        doc = {"name": "s", "seed": 4, "quantize": False, "groups": [
+        {"name": "s", "seed": 4, "quantize": False, "groups": [
             {"label": "odd", "distribution": "normal",
              "parameters": {"mean": 70, "stddev": 5}, "sample_count": 1001},
             {"label": "even", "distribution": "normal",
              "parameters": {"mean": 70, "stddev": 5}, "sample_count": 1000},
             {"label": "mixodd", "distribution": "mixture_of_normals",
-             "parameters": mix, "sample_count": 999},
+             "parameters": MIX, "sample_count": 999},
             {"label": "mixeven", "distribution": "mixture_of_normals",
-             "parameters": mix, "sample_count": 998},
+             "parameters": MIX, "sample_count": 998},
             {"label": "two", "distribution": "normal",
              "parameters": {"mean": 70, "stddev": 5}, "sample_count": 2},
-        ]}
+        ]},
+        # the rounded mean of three equal scores falls below them
+        {"name": "c", "seed": 1, "clamp_range": [0, 1e18], "groups": [
+            {"label": "A", "distribution": "constant",
+             "parameters": {"value": 5.664746493386899e17}, "sample_count": 3},
+            {"label": "B", "distribution": "constant", "parameters": {"value": 1},
+             "sample_count": 3},
+        ]},
+        # a zero draws as -0 or 0 by its normal's sign; the middle one of
+        # seven is -0 when eval sorts every -0 before every 0
+        {"name": "z", "seed": 2, "groups": [
+            {"label": "A", "distribution": "normal",
+             "parameters": {"mean": -0.0, "stddev": 0}, "sample_count": 7},
+            {"label": "B", "distribution": "constant", "parameters": {"value": 1},
+             "sample_count": 3},
+        ]},
+    ], ids=["unquantized", "constant-mean-rounds-out", "signed-zeros"])
+    def test_summary_gives_evals_mean_and_median(self, tmp_path, capsys, doc):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
-        drawn = sqfr.generate(sqfr.ScenarioSpec.from_dict(doc)).groups
-        want = [f"{label:<6} {g.size:<6d} {np.mean(g):<8.3f} {np.median(g):<8.3f}"
-                for label, g in drawn.items()]
         for ext in ("csv", "json"):
-            assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / f"s.{ext}")]) == 0
-            assert capsys.readouterr().out.splitlines()[2:] == want
+            out = tmp_path / f"s.{ext}"
+            assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 0
+            summary = summary_texts(capsys.readouterr().out)
+            assert summary == eval_group_texts(out, capsys), ext
 
     def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -578,21 +612,25 @@ class TestPlotdata:
 
 class TestImports:
     """A fresh process running a command imports no numpy.ma: numpy's
-    unique and quantile import it on their first call, and masked arrays
-    cost about 1.2 MB of RSS that nothing uses."""
+    quantile, and a unique that asks for no counts, index or inverse,
+    import it on their first call, and masked arrays cost about 1.2 MB of
+    RSS that nothing uses."""
 
     # the first value tells whether numpy imported numpy.ma itself, as numpy 1.x does
     CHILD = ("import sys, numpy; eager = 'numpy.ma' in sys.modules; from sqfr.cli import main;"
              " code = main(sys.argv[1:]); print(eager, 'numpy.ma' in sys.modules, code)")
 
-    @pytest.mark.parametrize("command", ["plotdata-csv", "plotdata-json", "simulate"])
+    @pytest.mark.parametrize("command", ["plotdata-csv", "plotdata-json", "simulate",
+                                         "eval-sequence", "eval-observed"])
     def test_numpy_ma_stays_unimported(self, tmp_path, command):
+        name, _, option = command.partition("-")
         argv = ["simulate", "--scenario", "q1", "--out", str(tmp_path / "s.csv")]
-        if command != "simulate":
-            ext = command.split("-")[1]
-            path = tmp_path / f"d.{ext}"
+        if name != "simulate":
+            path = tmp_path / ("d.json" if option == "json" else "d.csv")
             save(GroupedScores("q", {"A": np.arange(60.0) % 7, "B": np.arange(40.0) / 3}), path)
-            argv = ["plotdata", "--input", str(path), "--out", str(tmp_path / "p.json")]
+            argv = [name, "--input", str(path), "--out", str(tmp_path / "out.json")]
+            if name == "eval":
+                argv += ["--thresholds", option]
         child = subprocess.run([sys.executable, "-c", self.CHILD, *argv], env=child_env(),
                                capture_output=True, text=True, check=True)
         eager, imported, code = child.stdout.splitlines()[-1].split()

@@ -316,6 +316,20 @@ class TestRoundTrip:
         save(data, tmp_path / name)
         assert (tmp_path / name).read_bytes() == dumps(gs).encode("utf-8")
 
+    @pytest.mark.parametrize("name", ["out.csv", "out.json"])
+    @pytest.mark.parametrize("scores", [
+        np.array([81, 82] * 1000),
+        np.array([81.0, 82.0, 0.1] * 1000, dtype=np.float32),
+        [81, 82.5, 0.1],
+        (81.0, 3),
+    ], ids=["int64", "float32", "list", "tuple"])
+    def test_pairs_of_any_array_like_scores_load_back_as_float64(self, tmp_path, name, scores):
+        # converted as GroupedScores converts them, not read as float64 bits
+        save({"q": [("A", scores), ("B", np.array([70.0] * 10))]}, tmp_path / name)
+        back = (load_json if name.endswith(".json") else load_csv)(tmp_path / name)
+        want = GroupedScores("q", {"A": scores, "B": [70.0] * 10}).validated()
+        assert back.components == {"q": want}
+
     def test_fractional_scores_roundtrip_exactly(self, tmp_path):
         gs = GroupedScores("q", {"A": [0.1, 1 / 3], "B": [99.999999]})
         save(gs, tmp_path / "out.csv")
