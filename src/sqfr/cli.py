@@ -21,7 +21,6 @@ from pathlib import Path
 from . import __version__, dataset as dataset_io, plotdata, report, scenarios
 from .errors import ConfigError, DomainError, ParseError, ValidationError
 from .measures import THRESHOLD_MODES, check_sweep, group_mean, group_median
-from .types import sort_scores
 
 
 #: The flags only CSV input takes, by the ``load_csv`` parameter each sets.
@@ -178,11 +177,12 @@ def _cmd_simulate(args) -> int:
 def _summarized(groups, lines: list[str]):
     """The ``(label, samples)`` pairs of ``groups``, passed on one at a time.
     When the next is asked for, the one passed on before is sorted in place
-    by ``sort_scores`` and summarized in a line appended to ``lines``: its
-    mean and median, as ``sqfr eval`` reports them for the file written."""
+    and summarized in a line appended to ``lines``: its mean and median, as
+    ``sqfr eval`` reports them for the file written. A drawn group holds no
+    -0, so its sorted samples are the ascending group eval reads."""
     for label, values in groups:
         yield label, values
-        sort_scores(values)
+        values.sort()
         lines.append(f"{label:<6} {values.size:<6d} {group_mean(values):<8.3f}"
                      f" {group_median(values):<8.3f}")
         del values  # let the group go before the next is drawn

@@ -192,6 +192,13 @@ def csqfr(gc: float) -> float:
     return (1.0 - gc) ** 3
 
 
+def gc_rate(measure: str, gc: float) -> float:
+    """The value of the Gini-based ``measure`` key, such as ``"mean_gc_csqfr"``,
+    for the Gini coefficient ``gc``: :func:`csqfr` for a key ending in
+    ``_csqfr``, else :func:`sqfr`."""
+    return csqfr(gc) if measure.endswith("_csqfr") else sqfr(gc)
+
+
 def relevant_thresholds(scores: GroupedScores, step: float = 1.0) -> np.ndarray:
     """Threshold sweep min+step, min+2*step, ... over the pooled scores.
 
@@ -316,7 +323,7 @@ def _envelope_gaps(groups: list[np.ndarray]) -> np.ndarray:
     sizes = np.array([g.size for g in groups])
     sample = np.concatenate([g[stride - 1::stride] for g in groups])
     sample.sort()
-    cuts, _ = kernels._distinct(sample[spacing - 1::spacing])  # a -0 and a 0 share one cut
+    cuts, _ = kernels._distinct(sample[spacing - 1::spacing])
     del sample
     m = cuts.size
     # row k: 0, then group k's scores at or below each cut, below each cut,
@@ -435,13 +442,13 @@ def evaluate_component(
         if measure == "mdg_sqfr":
             out.append(mdg_sqfr(scores, step, thresholds_mode))
             continue
-        kind, _, rate = measure.partition("_gc_")
+        kind = measure.partition("_gc_")[0]
         if kind not in aggregates:
             # looked up per call, so a wrapped module attribute is the one called
             compute = {"mean": mean_aggregate, "median": median_aggregate, "lwm": lwm_aggregate}
             aggregates[kind] = compute[kind](scores)
         gc = gini_coefficient(aggregates[kind])
-        out.append(FairnessScore(measure, sqfr(gc) if rate == "sqfr" else csqfr(gc)))
+        out.append(FairnessScore(measure, gc_rate(measure, gc)))
     return out
 
 

@@ -11,6 +11,10 @@ documented transform:
   remainder the sine branch
 * mixture components: one uniform per sample, mapped through the
   cumulative weights, before the normal draws of that group
+* each normal is scaled by its stddev and shifted by its mean; every
+  sample is then clamped, rounded and clamped again when quantized (a
+  constant never is), and last 0.0 is added to it, so a -0 comes out as
+  0, the same quality
 
 Groups consume the stream in listed order. The same transform re-derives
 the identical samples in any language with IEEE doubles and PCG64.
@@ -18,7 +22,7 @@ the identical samples in any language with IEEE doubles and PCG64.
 Each group is drawn in the buffer of its own raw draws: a normal draw's
 2*ceil(n/2) raws become its samples, block by block of ``_DRAW_BLOCK``
 (a block's u1 slots take its cosine branch and its u2 slots its sine
-branch), and scaling, shifting, clamping and rounding run in place. A
+branch), and the steps from scaling to adding 0.0 run in place. A
 mixture draws its normals from a copy of the bit generator advanced past
 its n pick uniforms (``PCG64.advance``), then the picks from the
 generator block by block, and hands the stream on from the copy's state;
@@ -41,7 +45,7 @@ import numpy as np
 
 from .dataset import read_json
 from .errors import ConfigError
-from .measures import csqfr, gini_coefficient, sqfr
+from .measures import gc_rate, gini_coefficient
 from .types import GroupedScores, is_finite_number, is_int
 
 DISTRIBUTIONS = ("normal", "mixture_of_normals", "constant")
@@ -252,8 +256,8 @@ def _draw_group(bitgen, g: GroupSpec, lo: float, hi: float, quantize: bool) -> n
     if g.distribution == "constant":
         # emits the exact requested value: clamped but never quantized
         x = np.full(n, float(p["value"]))
-        return np.clip(x, lo, hi, out=x)
-    if g.distribution == "normal":
+        quantize = False
+    elif g.distribution == "normal":
         x = _normals(bitgen, n)
         x *= float(p["stddev"])
         x += float(p["mean"])
@@ -263,6 +267,7 @@ def _draw_group(bitgen, g: GroupSpec, lo: float, hi: float, quantize: bool) -> n
     if quantize:
         np.rint(x, out=x)
         np.clip(x, lo, hi, out=x)
+    x += 0.0  # a -0 is the quality 0, and is written as one
     return x
 
 
@@ -358,10 +363,7 @@ class AggregateFixture:
 
     def evaluate(self) -> dict[str, float]:
         gc = gini_coefficient(self.group_values)
-        return {
-            measure: csqfr(gc) if measure.endswith("_csqfr") else sqfr(gc)
-            for measure in self.expected
-        }
+        return {measure: gc_rate(measure, gc) for measure in self.expected}
 
 
 def _abc(*values: float) -> dict[str, float]:

@@ -75,8 +75,8 @@ class GroupedScores:
         itself. Any other gets one :meth:`problems` pass, and any problems
         raise one ValidationError, joined with "; ". Then an ascending group
         is kept as a read-only view and any other is sorted into a read-only
-        copy, with any -0 before any 0. The caller's arrays are never sorted
-        or frozen.
+        copy; a group holding a -0 is copied with each -0 read as 0, the
+        same quality. The caller's arrays are never written or frozen.
         """
         if isinstance(self, _ValidatedScores):
             return self
@@ -118,32 +118,18 @@ def score_array(scores) -> np.ndarray:
 
 
 def _canonical(scores) -> np.ndarray:
-    """One group as a read-only float64 array: a view if ascending, else a
-    sorted copy. A group holding a -0 is sorted by :func:`sort_scores`."""
+    """One group as a read-only float64 array: a view if ascending and free
+    of -0, else one copy, sorted and with each -0 read as 0."""
     g = score_array(scores)
-    out = np.sort(g) if np.any(g[1:] < g[:-1]) else g.view()
+    copied = bool(np.any(g[1:] < g[:-1]))
+    out = np.sort(g) if copied else g.view()
     # scores are non-negative, so only a group whose least score is a zero
-    # can hold a -0, and any sign bit in it is one
-    if out.size and out[0] == 0.0 and np.signbit(g).any():
-        out = g.copy()
-        sort_scores(out)
+    # can hold a -0, and any sign bit in it is one; adding 0.0 makes each
+    # -0 a 0 and keeps every other score's bits
+    if out.size and out[0] == 0.0 and np.signbit(out).any():
+        out = np.add(out, 0.0, out=out if copied else None)
     out.flags.writeable = False
     return out
-
-
-def sort_scores(g: np.ndarray) -> None:
-    """Sort the writable float64 array ``g`` of non-negative scores in place
-    into the canonical order of a group: ascending, with every -0 before
-    every 0. They compare equal, and ``np.sort`` may change a zero's sign,
-    so the -0s are counted before the sort and the zeros written after it.
-    """
-    # the scores are non-negative, so each sign bit is a -0's
-    negative = np.count_nonzero(np.signbit(g)) if g.size and g.min() == 0.0 else 0
-    g.sort()
-    if negative:
-        zeros = g[:np.searchsorted(g, 0.0, side="right")]
-        zeros[:negative] = -0.0
-        zeros[negative:] = 0.0
 
 
 @dataclass

@@ -98,14 +98,15 @@ def pcg64_normals(bitgen, count):
 def simulate(doc):
     """A spec document's samples by the documented transform, each step on
     whole arrays: groups in listed order, a mixture's picks before its
-    normals, then the clamp and, when quantized, rint and the clamp again."""
+    normals, then the clamp, when quantized rint and the clamp again, and
+    last 0.0 added, so a -0 comes out as 0."""
     bitgen = np.random.PCG64(doc["seed"])
     lo, hi = doc.get("clamp_range", (0.0, 100.0))
     out = {}
     for g in doc["groups"]:
         n, p = g["sample_count"], g["parameters"]
         if g["distribution"] == "constant":
-            out[g["label"]] = np.clip(np.full(n, float(p["value"])), lo, hi)
+            out[g["label"]] = np.clip(np.full(n, float(p["value"])), lo, hi) + 0.0
             continue
         if g["distribution"] == "normal":
             x = p["mean"] + p["stddev"] * pcg64_normals(bitgen, n)
@@ -119,5 +120,5 @@ def simulate(doc):
         x = np.clip(x, lo, hi)
         if doc.get("quantize", True):
             x = np.clip(np.rint(x), lo, hi)
-        out[g["label"]] = x
+        out[g["label"]] = x + 0.0
     return out

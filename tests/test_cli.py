@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -132,6 +133,20 @@ class TestEval:
         path.write_bytes(data)
         assert main(["eval", "--input", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {where}")
+
+    def test_a_negative_zero_is_reported_as_zero(self, tmp_path, capsys):
+        path = tmp_path / "zeros.csv"
+        path.write_text("component,group,score\nq,A,-0\nq,B,-0.0\n")
+        assert main(["eval", "--input", str(path), "--format", "markdown"]) == 0
+        captured = capsys.readouterr()
+        assert "| A | 1 | 0.000 | 0.000 | 0.000 |" in captured.out.splitlines()
+        assert "all scores equal (0);" in captured.err
+        assert main(["eval", "--input", str(path), "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert '"median": 0.0' in out and '"lwm": 0.0' in out
+        groups = json.loads(out)["components"][0]["groups"]
+        signs = [math.copysign(1.0, g[key]) for g in groups for key in ("mean", "median", "lwm")]
+        assert signs == [1.0] * 6
 
     def test_unknown_measure_exits_2(self, q2_csv, capsys):
         assert main(["eval", "--input", str(q2_csv), "--measures", "bogus"]) == 2
@@ -450,8 +465,8 @@ class TestSimulate:
             {"label": "B", "distribution": "constant", "parameters": {"value": 1},
              "sample_count": 3},
         ]},
-        # a zero draws as -0 or 0 by its normal's sign; the middle one of
-        # seven is -0 when eval sorts every -0 before every 0
+        # a zero draws as -0 or 0 by its normal's sign; simulate writes
+        # each as 0, and eval would read a -0 as 0 too
         {"name": "z", "seed": 2, "groups": [
             {"label": "A", "distribution": "normal",
              "parameters": {"mean": -0.0, "stddev": 0}, "sample_count": 7},

@@ -157,7 +157,7 @@ def _oracle_canonical(buckets, source):
         groups = {}
         for label in sorted(buckets[cid]):
             arr = np.asarray(buckets[cid][label], dtype=np.float64)
-            arr = arr[np.lexsort((~np.signbit(arr), arr))]  # ascending, -0 before 0
+            arr = np.sort(arr) + 0.0  # ascending, each -0 read as 0
             arr.flags.writeable = False
             groups[label] = arr
         grouped = GroupedScores(cid, groups)
@@ -397,11 +397,13 @@ def test_bad_line_deep_in_a_repeated_file_keeps_its_row_number(tmp_path):
     ]
 
 
-def test_negative_zeros_keep_their_sign_and_come_first(tmp_path):
+def test_negative_zeros_are_read_as_zero(tmp_path):
     text = HEADER + "A,q,0\nA,q,-0\nA,q,0\nB,q,-0.0\nB,q,1\n" * 3
     loaded = load_csv(write(tmp_path / "d.csv", text))
-    signs = {label: np.signbit(g).tolist() for label, g in loaded.components["q"].groups.items()}
-    assert signs == {"A": [True] * 3 + [False] * 6, "B": [True] * 3 + [False] * 3}
+    groups = loaded.components["q"].groups
+    assert {label: g.tolist() for label, g in groups.items()} == {
+        "A": [0.0] * 9, "B": [0.0] * 3 + [1.0] * 3}
+    assert not any(np.signbit(g).any() for g in groups.values())
 
 
 def test_counted_groups_are_ascending_views(tmp_path):

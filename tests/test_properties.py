@@ -25,6 +25,9 @@ from sqfr import (
     relevant_thresholds,
 )
 
+from sqfr import plotdata, report
+from sqfr.dataset import Dataset
+from sqfr.measures import THRESHOLD_MODES
 from sqfr.plotdata import _quartiles, silverman_bandwidth
 
 from oracles import discard_recount, gini_exact, mdg_recount, unique_kde
@@ -187,6 +190,32 @@ class TestScoreOrderIndependence:
             return out
 
         assert bits(shuffled) == bits(ascending)
+
+
+class TestSignedZeros:
+    """A -0 score is the quality 0: no output tells the two apart."""
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.5, 7.0]), min_size=1, max_size=8),
+            min_size=2,
+            max_size=4,
+        ).map(lambda gs: {f"g{i}": g for i, g in enumerate(gs)})
+    )
+    @example({"A": [-0.0, -0.0, -0.0, 3.0, 5.0], "B": [-0.0, 1.0, 2.0]})
+    @settings(max_examples=60, deadline=None)
+    def test_every_output_is_byte_identical_with_each_zero_positive(self, groups):
+        def outputs(gs):
+            data = Dataset({"q": GroupedScores("q", gs)})
+            texts = [
+                report.render(report.build_report(data, thresholds_mode=mode), fmt)
+                for mode in THRESHOLD_MODES
+                for fmt in report.FORMATS
+            ]
+            return texts + [plotdata.render(plotdata.build_plotdata(data), "json")]
+
+        positive = {label: [score + 0.0 for score in g] for label, g in groups.items()}
+        assert outputs(groups) == outputs(positive)
 
 
 class TestDiscardProperties:

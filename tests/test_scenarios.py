@@ -153,6 +153,25 @@ class TestGenerate:
             assert_same_bits(generate(ScenarioSpec.from_dict(doc)).groups, simulate_oracle(doc))
 
     @pytest.mark.parametrize("quantize", [True, False])
+    def test_a_drawn_zero_is_never_negative(self, quantize):
+        # before the last step N and M hold -0s beside 0s (draws about -0
+        # with no spread, and M's part about -5 clamped up to a low of -0),
+        # and C only -0s
+        doc = {"name": "z", "seed": 2, "clamp_range": [-0.0, 100], "quantize": quantize,
+               "groups": [
+                   {"label": "N", "distribution": "normal",
+                    "parameters": {"mean": -0.0, "stddev": 0}, "sample_count": 7},
+                   {"label": "M", "distribution": "mixture_of_normals",
+                    "parameters": {"means": [-0.0, -5], "stddevs": [0, 1], "weights": [0.5, 0.5]},
+                    "sample_count": 20},
+                   {"label": "C", "distribution": "constant",
+                    "parameters": {"value": -0.0}, "sample_count": 3}]}
+        got = generate(ScenarioSpec.from_dict(doc)).groups
+        assert not any(np.signbit(g).any() for g in got.values())
+        assert all(np.all(g == 0.0) for g in got.values())
+        assert_same_bits(got, simulate_oracle(doc))
+
+    @pytest.mark.parametrize("quantize", [True, False])
     def test_drawn_bits_equal_the_oracle_around_the_block(self, quantize):
         block = scenarios._DRAW_BLOCK
         counts = {"normal": 2 * block + 1, "mix1": block + 1, "mix2": block - 1,
