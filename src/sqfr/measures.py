@@ -320,7 +320,7 @@ def _envelope_gaps(groups: list[np.ndarray]) -> np.ndarray:
     cap = max(4 * _SWEEP_BLOCK, _MERGE_GROUP_SCORES * len(groups))
     stride = cap // (2 * len(groups))  # at least 1, as cap holds 2 per group
     spacing = cap // (2 * stride)
-    sizes = np.array([g.size for g in groups])
+    sizes = np.array([g.size for g in groups], dtype=np.float64)
     sample = np.concatenate([g[stride - 1::stride] for g in groups])
     sample.sort()
     cuts, _ = kernels._distinct(sample[spacing - 1::spacing])
@@ -357,27 +357,34 @@ def _envelope_gaps(groups: list[np.ndarray]) -> np.ndarray:
             opens[0] = i > 0
             np.not_equal(block[1:], block[:-1], out=opens[1:])
             del block
-            # each sorted score's index in its group, and that group's size
-            index = np.repeat(a - (np.cumsum(n) - n), n).take(order)
+            # each sorted score's index in its group, and that group's size,
+            # as float64: both are whole numbers below 2**53, so exact, and
+            # the shares divide float by float with no cast pass over the block
+            index = np.repeat((a - (np.cumsum(n) - n)).astype(np.float64), n).take(order)
             index += order
             per = np.repeat(sizes, n).take(order)
             del order
-            # run[j + 1]: the max up to sorted score j of shares at or below
-            run = np.empty(size + 1)
-            run[0] = tops[i]
-            np.add(index, 1.0, out=run[1:])
-            run[1:] /= per
-            np.fmax.accumulate(run, out=run)  # no share is NaN: fmax is maximum
-            out = gap[done:done + np.count_nonzero(opens)]
-            np.compress(opens, run[:-1], out=out)
-            # less run[j]: the min from sorted score j up of shares strictly below
-            np.divide(index, per, out=run[:-1])
-            run[size] = lows[i]
+            # high[j + 1]: the max up to sorted score j of shares at or below
+            high = np.empty(size + 1)
+            high[0] = tops[i]
+            np.add(index, 1.0, out=high[1:])
+            high[1:] /= per
+            np.fmax.accumulate(high, out=high)  # no share is NaN: fmax is maximum
+            # low[j]: the min from sorted score j up of shares strictly below
+            low = np.empty(size + 1)
+            np.divide(index, per, out=low[:-1])
+            low[size] = lows[i]
             del index, per
-            back = run[::-1]
+            back = low[::-1]
             np.fmin.accumulate(back, out=back)
-            out -= run[:-1][opens]
+            # the gaps at every sorted score, then one boolean index keeps the
+            # thresholds: np.compress(out=) takes about three times as long
+            high[:-1] -= low[:-1]
+            del low
+            out = high[:-1][opens]
+            gap[done:done + out.size] = out
             done += out.size
+            del high, opens, out  # before the next block's temporaries
         if i < m and (i or size):  # cut 0 is the pooled minimum when nothing is below it
             gap[done] = highs[i] - lows[i]
             done += 1

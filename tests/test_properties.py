@@ -400,6 +400,63 @@ class TestUnitInvariance:
         assert [s.value.hex() for s in after] == [s.value.hex() for s in before]
 
 
+# few distinct values, so that scores tie within and across groups
+few_distinct_groups = st.lists(
+    st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.5, 7.0]), min_size=1, max_size=8),
+    min_size=2,
+    max_size=5,
+).map(lambda gs: GroupedScores("q", {f"g{i}": g for i, g in enumerate(gs)}))
+
+
+class TestRankAndRepetitionInvariance:
+    """Observed MDG reads only the order and ties of the pooled scores, and MDG
+    and the median measure read a group only as the share of its scores at
+    each value: a map that keeps order and ties, or repeating every score,
+    changes no bit of them."""
+
+    @given(
+        st.one_of(
+            grouped_strategy(),
+            grouped_strategy(integers=True),
+            few_distinct_groups,
+            st.lists(
+                st.lists(tie_prone_scores, min_size=1, max_size=12), min_size=2, max_size=20
+            ).map(lambda gs: GroupedScores("q", {f"g{i}": g for i, g in enumerate(gs)})),
+        )
+    )
+    # scores one float apart are two thresholds, as their ranks are
+    @example(GroupedScores("q", {"A": [1.0, 2.0], "B": [np.nextafter(1.0, 2.0), 2.0]}))
+    @settings(max_examples=150, deadline=None)
+    def test_strictly_increasing_map_keeps_observed_mdg(self, grouped):
+        # each score becomes its dense rank among the pooled distinct scores,
+        # times 3.5, plus 1: exact floats, in the same order, with the same ties
+        pooled = np.unique(np.concatenate(list(grouped.groups.values())))
+        ranks = {label: np.searchsorted(pooled, g) for label, g in grouped.groups.items()}
+        mapped = GroupedScores("q", {label: r * 3.5 + 1.0 for label, r in ranks.items()})
+        before = mdg_sqfr(grouped, thresholds_mode="observed").value
+        assert mdg_sqfr(mapped, thresholds_mode="observed").value.hex() == before.hex()
+
+    @given(
+        st.one_of(grouped_strategy(), grouped_strategy(integers=True), few_distinct_groups),
+        st.integers(min_value=2, max_value=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_repeating_every_score_keeps_mdg_and_the_median_measure(self, grouped, k):
+        # the mean and LWM measures are left out: summation order moves them
+        # by up to 2e-15
+        repeated = GroupedScores("q", {label: g.repeat(k) for label, g in grouped.groups.items()})
+        keys = ["mdg_sqfr", "median_gc_sqfr"]
+
+        def bits(gs):
+            return [
+                (mode, score.measure, score.value.hex())
+                for mode in THRESHOLD_MODES
+                for score in evaluate_component(gs, thresholds_mode=mode, measures=keys)
+            ]
+
+        assert bits(repeated) == bits(grouped)
+
+
 class TestMedianConvention:
     @given(st.lists(st.floats(min_value=0, max_value=100, allow_nan=False), min_size=2, max_size=20))
     @settings(max_examples=150)
